@@ -2,9 +2,10 @@
 # go vet plus the full suite under the race detector. `make bench` runs the
 # tier-1 suite under the race detector first, then emits benchmark results
 # as streamed test2json events into BENCH_parallel.json, the plan-cache
-# cold/warm comparison into BENCH_plancache.json, the batched-vs-tuple
-# executor comparison into BENCH_batch.json and the value-index pushdown
-# comparison into BENCH_content.json. `make benchquick` smoke-runs the key
+# cold/warm comparison into BENCH_plancache.json and the value-index
+# pushdown comparison into BENCH_content.json. BENCH_batch.json is a frozen
+# record of the batched-vs-tuple executor comparison; the tuple-at-a-time
+# executor is gone, so no target regenerates it. `make benchquick` smoke-runs the key
 # benchmarks at one iteration each (plus the allocs/op regression guard) —
 # a CI-friendly check that they still build, run and validate their counts.
 # `make loadbench` runs the open-loop corpus serving benchmark (Poisson
@@ -64,8 +65,9 @@ replicachaos:
 
 # Write-path crash suite under the race detector: crash the process at
 # every WAL write ordinal (and with a torn final write, and with a crashed
-# store file) across all five paper methods in batched and tuple-at-a-time
-# execution; recovery must land on a committed prefix every time.
+# store file); recovery must land on a committed prefix every time, and all
+# five paper methods must agree with the TwigStack oracle on it, serial and
+# parallel, materialised and count-only.
 walchaos:
 	$(GO) test -race -count=1 -run 'TestWALChaos|TestWAL|TestIngest|TestOpenDatabase|TestCorpusIngest' .
 	$(GO) test -race -count=1 ./internal/storage/
@@ -73,7 +75,6 @@ walchaos:
 bench: test-race
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem -json . | tee BENCH_parallel.json
 	$(GO) test -run '^$$' -bench 'PlanCache' -benchmem -json . | tee BENCH_plancache.json
-	$(GO) test -run '^$$' -bench 'BatchExecute$$' -benchmem -json . | tee BENCH_batch.json
 	$(GO) test -run '^$$' -bench 'ContentIndex' -benchmem -json . | tee BENCH_content.json
 	$(GO) run ./cmd/xqbench -plannerbench
 	$(GO) run ./cmd/xqbench -loadbench
@@ -90,7 +91,7 @@ plannerquick:
 	$(GO) run ./cmd/xqbench -plannerquick -plannerout ""
 
 benchquick:
-	$(GO) test -run '^$$' -bench 'ParallelExecute|PlanCache|BatchExecute$$|ContentIndex|ObservabilityOverhead' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'ParallelExecute|PlanCache|ContentIndex|ObservabilityOverhead' -benchtime=1x .
 	$(GO) test -run 'TestBatchedProbeAllocs' -v .
 
 # Open-loop corpus serving benchmark: Poisson arrivals against a sharded
@@ -124,4 +125,4 @@ churnquick:
 	$(GO) run ./cmd/xqbench -churnquick -churnout ""
 
 clean:
-	rm -f BENCH_parallel.json BENCH_plancache.json BENCH_batch.json BENCH_content.json BENCH_corpus.json BENCH_replica.json BENCH_planner.json BENCH_churn.json
+	rm -f BENCH_parallel.json BENCH_plancache.json BENCH_content.json BENCH_corpus.json BENCH_replica.json BENCH_planner.json BENCH_churn.json

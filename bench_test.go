@@ -445,10 +445,8 @@ func BenchmarkPlanCacheWarmOptimize(b *testing.B) {
 	b.ReportMetric(float64(opt.Nanoseconds())/float64(b.N), "optimize-ns/op")
 }
 
-// BenchmarkBatchExecute measures the batched (vectorized) executor against
-// the tuple-at-a-time executor on the Table-3 workload (Q.Pers.3.d,
-// CountOnly) across folding factors — the acceptance benchmark for the
-// batch execution path (target: >= 1.5x at fold 100).
+// BenchmarkBatchExecute measures plan execution on the Table-3 workload
+// (Q.Pers.3.d, DPP plan, CountOnly) across folding factors.
 func BenchmarkBatchExecute(b *testing.B) {
 	q, err := experiments.QueryByID(experiments.PersQuery3)
 	if err != nil {
@@ -465,23 +463,17 @@ func BenchmarkBatchExecute(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, lane := range []struct {
-			name    string
-			noBatch bool
-		}{{"batched", false}, {"tuple", true}} {
-			b.Run(fmt.Sprintf("fold=%d/%s", fold, lane.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					r, err := db.Run(context.Background(), pat, res.Plan,
-						sjos.RunOptions{ExecOptions: sjos.ExecOptions{NoBatch: lane.noBatch}, CountOnly: true})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if r.Count != want.Count {
-						b.Fatalf("%s counted %d, want %d", lane.name, r.Count, want.Count)
-					}
+		b.Run(fmt.Sprintf("fold=%d", fold), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r, err := db.Run(context.Background(), pat, res.Plan, sjos.RunOptions{CountOnly: true})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if r.Count != want.Count {
+					b.Fatalf("counted %d, want %d", r.Count, want.Count)
+				}
+			}
+		})
 	}
 }
 
@@ -499,18 +491,10 @@ func BenchmarkBatchExecuteMaterialize(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, lane := range []struct {
-		name    string
-		noBatch bool
-	}{{"batched", false}, {"tuple", true}} {
-		b.Run(lane.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Run(context.Background(), pat, res.Plan,
-					sjos.RunOptions{ExecOptions: sjos.ExecOptions{NoBatch: lane.noBatch}}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Run(context.Background(), pat, res.Plan, sjos.RunOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -2,10 +2,10 @@ package sjos
 
 // Chaos differential suite: every optimizer method's plan runs over a store
 // whose page file injects read failures and corruption at swept fault
-// points, in all four execution modes (serial/parallel × batched/tuple).
+// points, in every oracle lane (serial/parallel × materialised/CountOnly).
 // The contract is differential — each run must either produce exactly the
-// fault-free result or return the injected (typed) error. Never a wrong
-// answer, never a panic, never a pinned frame left behind.
+// TwigStack oracle's result or return the injected (typed) error. Never a
+// wrong answer, never a panic, never a pinned frame left behind.
 
 import (
 	"context"
@@ -27,7 +27,7 @@ func chaosDB(t *testing.T, seed int64, n int) (*Database, *faultfs.File) {
 	rng := rand.New(rand.NewSource(seed))
 	doc := xmltree.RandomDocument(rng, n, []string{"a", "b", "c"})
 	ff := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
-	db, err := fromDocument(doc, &Options{PageFile: ff, PoolFrames: 8})
+	db, err := fromDocument(doc, &Options{PageFile: ff, PoolFrames: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,26 +66,18 @@ func faultPoints(reads int) []int {
 }
 
 func TestChaosDifferential(t *testing.T) {
-	db, ff := chaosDB(t, 42, 5000)
+	db, ff := chaosDB(t, 42, 8000)
 	pat := MustParsePattern("//a//b//c")
 	methods := []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP, MethodGreedy}
-	modes := []struct {
-		name string
-		opts RunOptions
-	}{
-		{"serial-batch", RunOptions{}},
-		{"serial-tuple", RunOptions{ExecOptions: ExecOptions{NoBatch: true}}},
-		{"parallel-batch", RunOptions{Workers: 2}},
-		{"parallel-tuple", RunOptions{ExecOptions: ExecOptions{NoBatch: true}, Workers: 2}},
-	}
-	want := -1
+	oracle := twigStackMatches(t, db, pat)
+	want := len(oracle)
 	var failFired, corruptFired, healed int
 	for _, m := range methods {
 		opt, err := db.Optimize(pat, m, 0)
 		if err != nil {
 			t.Fatalf("%v: optimize: %v", m, err)
 		}
-		for _, mode := range modes {
+		for _, mode := range oracleLanes {
 			// Fault-free baseline; also measures this mode's physical read
 			// count so the fault sweep covers its real I/O schedule.
 			ff.SetPolicy(faultfs.Policy{})
@@ -93,10 +85,11 @@ func TestChaosDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%s: baseline: %v", m, mode.name, err)
 			}
-			if want == -1 {
-				want = base.Count
-			} else if base.Count != want {
-				t.Fatalf("%v/%s: baseline count = %d, want %d", m, mode.name, base.Count, want)
+			if base.Count != want {
+				t.Fatalf("%v/%s: baseline count = %d, oracle %d", m, mode.name, base.Count, want)
+			}
+			if !mode.opts.CountOnly && !equalStrings(canonicalize(base.Matches), oracle) {
+				t.Fatalf("%v/%s: baseline matches disagree with the oracle", m, mode.name)
 			}
 			reads := int(ff.Reads())
 			for _, p := range faultPoints(reads) {
@@ -202,9 +195,9 @@ func mustPlan(t *testing.T, db *Database, pat *Pattern, m Method) *Plan {
 // TestChaosValueProbe sweeps fault injection over a value-index probe
 // plan: the probe's compressed postings reads go through the same buffer
 // pool, checksum and retry path as everything else, so each run must
-// return the fault-free count or a typed injected/corruption error — and
-// transient faults must heal. The scan+filter lane over the same faulty
-// store is the correctness oracle.
+// return the oracle's count or a typed injected/corruption error — and
+// transient faults must heal. TwigStack over the in-memory document is the
+// correctness oracle.
 func TestChaosValueProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	doc := randomValueXML(rng, 4000, []string{"a", "b", "c"})
@@ -221,25 +214,10 @@ func TestChaosValueProbe(t *testing.T) {
 	if !containsOp(opt.Plan.Format(pat), "ValueIndexScan") {
 		t.Fatalf("chaos fixture plan has no value probe:\n%s", opt.Plan.Format(pat))
 	}
-	// Oracle: scan+filter on the same (currently fault-free) store.
-	ff.SetPolicy(faultfs.Policy{})
-	res, err := db.QueryPatternContext(context.Background(), pat,
-		QueryOptions{ExecOptions: ExecOptions{Method: MethodDPP, NoValueIndex: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(res.Matches)
-	modes := []struct {
-		name string
-		opts RunOptions
-	}{
-		{"serial-batch", RunOptions{}},
-		{"serial-tuple", RunOptions{ExecOptions: ExecOptions{NoBatch: true}}},
-		{"parallel-batch", RunOptions{Workers: 2}},
-		{"parallel-tuple", RunOptions{ExecOptions: ExecOptions{NoBatch: true}, Workers: 2}},
-	}
+	oracle := twigStackMatches(t, db, pat)
+	want := len(oracle)
 	var fired, healed int
-	for _, mode := range modes {
+	for _, mode := range oracleLanes {
 		ff.SetPolicy(faultfs.Policy{})
 		base, err := runChaos(t, db, pat, opt.Plan, mode.opts)
 		if err != nil {
@@ -247,6 +225,9 @@ func TestChaosValueProbe(t *testing.T) {
 		}
 		if base.Count != want {
 			t.Fatalf("%s: baseline count = %d, oracle %d", mode.name, base.Count, want)
+		}
+		if !mode.opts.CountOnly && !equalStrings(canonicalize(base.Matches), oracle) {
+			t.Fatalf("%s: baseline matches disagree with the oracle", mode.name)
 		}
 		reads := int(ff.Reads())
 		for _, p := range faultPoints(reads) {

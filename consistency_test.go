@@ -1,11 +1,15 @@
 package sjos
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"sjos/internal/exec"
 )
 
 // TestGrandConsistency is the repository's widest property test: on random
@@ -108,14 +112,20 @@ func randomTwig(rng *rand.Rand, tags []string, n int) *Pattern {
 	return p
 }
 
+// canonicalize renders matches as sorted "id,id,..." strings, a canonical
+// multiset form for comparing results of different plans and oracles.
 func canonicalize(ms []Match) []string {
 	out := make([]string, len(ms))
+	var buf []byte
 	for i, m := range ms {
-		parts := make([]string, len(m))
+		buf = buf[:0]
 		for j, id := range m {
-			parts[j] = fmt.Sprint(id)
+			if j > 0 {
+				buf = append(buf, ',')
+			}
+			buf = strconv.AppendUint(buf, uint64(id), 10)
 		}
-		out[i] = strings.Join(parts, ",")
+		out[i] = string(buf)
 	}
 	sort.Strings(out)
 	return out
@@ -131,4 +141,61 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// oracleLanes are the executor lanes every oracle matrix covers: serial and
+// partition-parallel execution, each materialised and CountOnly.
+var oracleLanes = []struct {
+	name string
+	opts RunOptions
+}{
+	{"serial", RunOptions{}},
+	{"serial-count", RunOptions{CountOnly: true}},
+	{"parallel", RunOptions{Workers: 3}},
+	{"parallel-count", RunOptions{Workers: 3, CountOnly: true}},
+}
+
+// referenceMatches is the brute-force oracle (exec.ReferenceMatches) over
+// db's document, canonicalised. It shares no code with the optimizers, the
+// stores or the executor; it is exponential in the worst case, so it suits
+// small random documents.
+func referenceMatches(db *Database, pat *Pattern) []string {
+	return canonicalize(exec.ReferenceMatches(db.view().doc, pat))
+}
+
+// twigStackMatches is the holistic twig join oracle (Database.TwigStack),
+// canonicalised. It evaluates the whole pattern at once over the in-memory
+// document, so it scales to the generated data sets.
+func twigStackMatches(t *testing.T, db *Database, pat *Pattern) []string {
+	t.Helper()
+	ms, err := db.TwigStack(pat)
+	if err != nil {
+		t.Fatalf("TwigStack on %s: %v", pat, err)
+	}
+	return canonicalize(ms)
+}
+
+// checkOracleLanes runs p on db in every oracle lane and fails unless each
+// returns exactly want: the canonical match multiset when materialised, and
+// its size (with no matches) under CountOnly.
+func checkOracleLanes(t *testing.T, db *Database, pat *Pattern, p *Plan, want []string, label string) {
+	t.Helper()
+	for _, lane := range oracleLanes {
+		r, err := db.Run(context.Background(), pat, p, lane.opts)
+		if err != nil {
+			t.Fatalf("%s %s on %s: %v", label, lane.name, pat, err)
+		}
+		if r.Count != len(want) {
+			t.Fatalf("%s %s on %s: Count = %d, oracle %d", label, lane.name, pat, r.Count, len(want))
+		}
+		if lane.opts.CountOnly {
+			if r.Matches != nil {
+				t.Fatalf("%s %s on %s: CountOnly materialised %d matches", label, lane.name, pat, len(r.Matches))
+			}
+			continue
+		}
+		if got := canonicalize(r.Matches); !equalStrings(got, want) {
+			t.Fatalf("%s %s on %s: %d matches disagree with the oracle's %d", label, lane.name, pat, len(got), len(want))
+		}
+	}
 }

@@ -41,8 +41,9 @@ func buildReplicaCorpus(t *testing.T, ids []string, docs []*xmltree.Document, op
 }
 
 // TestCorpusReplicaChaos kills one replica of EVERY shard permanently and
-// requires every method × scatter mode × execution mode to return the exact
-// fault-free result: with R=2 a dead store copy is a failover, not an error.
+// requires every method × oracle lane to return exactly the per-document
+// TwigStack oracle's result: with R=2 a dead store copy is a failover, not
+// an error.
 func TestCorpusReplicaChaos(t *testing.T) {
 	ids, docs := corpusFixtureDocsScale(t, 4, 0.5)
 	c, files := buildReplicaCorpus(t, ids, docs, CorpusOptions{
@@ -60,32 +61,23 @@ func TestCorpusReplicaChaos(t *testing.T) {
 	}
 
 	pat := MustParsePattern(`//article//author`)
-	want := standaloneResults(t, ids, docs, pat)
+	want := oracleCorpusResults(t, ids, docs, pat)
 	if len(want) == 0 {
 		t.Fatal("fixture ground truth is empty")
 	}
 	methods := []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP}
-	modes := []struct {
-		name string
-		opts RunOptions
-	}{
-		{"serial-batch", RunOptions{}},
-		{"serial-tuple", RunOptions{ExecOptions: ExecOptions{NoBatch: true}}},
-		{"parallel-batch", RunOptions{Workers: 2}},
-		{"parallel-tuple", RunOptions{ExecOptions: ExecOptions{NoBatch: true}, Workers: 2}},
-	}
 	for _, m := range methods {
 		opt, err := c.Optimize(pat, m, 0)
 		if err != nil {
 			t.Fatalf("%v: optimize: %v", m, err)
 		}
-		for _, mode := range modes {
+		for _, mode := range oracleLanes {
 			res, err := c.Run(context.Background(), pat, opt.Plan, mode.opts)
 			if err != nil {
 				t.Fatalf("%v/%s: dead replica leaked as error: %v", m, mode.name, err)
 			}
-			if !sameCorpusMatches(res.Matches, want) {
-				t.Fatalf("%v/%s: result differs from fault-free answer", m, mode.name)
+			if !corpusMatchesOracle(res, mode.opts, want) {
+				t.Fatalf("%v/%s: result differs from the per-document oracle", m, mode.name)
 			}
 		}
 	}

@@ -1,19 +1,23 @@
 package sjos
 
 // Corpus differential suite: a corpus over N documents must answer exactly
-// as the concatenation of N standalone single-document databases, for every
-// optimizer method and every execution mode — plus first-k, count-only,
-// shared derived handles, and a chaos run with one failing shard.
+// as the TwigStack oracle run on each document alone, for every optimizer
+// method and every oracle lane — plus first-k and count-only against the
+// concatenation of standalone databases, shared derived handles, and a
+// chaos run with one failing shard.
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
 	"sjos/internal/datagen"
 	"sjos/internal/faultfs"
 	"sjos/internal/storage"
+	"sjos/internal/twigjoin"
 	"sjos/internal/xmltree"
 )
 
@@ -76,6 +80,54 @@ func standaloneResults(t *testing.T, ids []string, docs []*xmltree.Document, pat
 	return want
 }
 
+// oracleCorpusResults is the corpus oracle: the TwigStack holistic join
+// (internal/twigjoin) run on each document alone, concatenated in insertion
+// order. It shares no code with the optimizers, stores or executor.
+func oracleCorpusResults(t *testing.T, ids []string, docs []*xmltree.Document, pat *Pattern) []CorpusMatch {
+	t.Helper()
+	var want []CorpusMatch
+	for gi, doc := range docs {
+		ms, _, err := twigjoin.Run(doc, pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range ms {
+			want = append(want, CorpusMatch{DocID: ids[gi], Doc: gi, Nodes: Match(m)})
+		}
+	}
+	return want
+}
+
+// corpusMatchesOracle reports whether a corpus run with opts returned the
+// oracle's answer: under CountOnly its size and no matches; otherwise its
+// matches grouped by document in insertion order. Inside one document the
+// plan decides the row order, so rows are compared as multisets there.
+func corpusMatchesOracle(res *CorpusRunResult, opts RunOptions, want []CorpusMatch) bool {
+	if res.Count != len(want) {
+		return false
+	}
+	if opts.CountOnly {
+		return res.Matches == nil
+	}
+	if len(res.Matches) != len(want) {
+		return false
+	}
+	keys := func(ms []CorpusMatch) []string {
+		out := make([]string, len(ms))
+		for i, m := range ms {
+			out[i] = fmt.Sprintf("%d/%s/%v", m.Doc, m.DocID, m.Nodes)
+		}
+		sort.Strings(out)
+		return out
+	}
+	for i := 1; i < len(res.Matches); i++ {
+		if res.Matches[i].Doc < res.Matches[i-1].Doc {
+			return false
+		}
+	}
+	return equalStrings(keys(res.Matches), keys(want))
+}
+
 func sameCorpusMatches(got, want []CorpusMatch) bool {
 	if len(got) != len(want) {
 		return false
@@ -103,21 +155,12 @@ func TestCorpusDifferential(t *testing.T) {
 		t.Fatalf("shards=%d docs=%d, want 3/5", c.NumShards(), c.NumDocs())
 	}
 	methods := []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP, MethodGreedy}
-	modes := []struct {
-		name string
-		opts RunOptions
-	}{
-		{"serial-batch", RunOptions{}},
-		{"serial-tuple", RunOptions{ExecOptions: ExecOptions{NoBatch: true}}},
-		{"parallel-batch", RunOptions{Workers: 2}},
-		{"parallel-tuple", RunOptions{ExecOptions: ExecOptions{NoBatch: true}, Workers: 2}},
-	}
 	for _, src := range []string{
 		`//article//author`,
 		`//article[year < 1980]/title`,
 	} {
 		pat := MustParsePattern(src)
-		want := standaloneResults(t, ids, docs, pat)
+		want := oracleCorpusResults(t, ids, docs, pat)
 		if len(want) == 0 {
 			t.Fatalf("%s: ground truth is empty — fixture too small", src)
 		}
@@ -126,17 +169,14 @@ func TestCorpusDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: optimize: %v", src, m, err)
 			}
-			for _, mode := range modes {
+			for _, mode := range oracleLanes {
 				res, err := c.Run(context.Background(), pat, opt.Plan, mode.opts)
 				if err != nil {
 					t.Fatalf("%s/%v/%s: %v", src, m, mode.name, err)
 				}
-				if !sameCorpusMatches(res.Matches, want) {
-					t.Fatalf("%s/%v/%s: corpus result (%d matches) differs from per-document concatenation (%d)",
-						src, m, mode.name, len(res.Matches), len(want))
-				}
-				if res.Count != len(want) {
-					t.Fatalf("%s/%v/%s: Count = %d, want %d", src, m, mode.name, res.Count, len(want))
+				if !corpusMatchesOracle(res, mode.opts, want) {
+					t.Fatalf("%s/%v/%s: corpus result (Count %d) differs from the per-document oracle (%d)",
+						src, m, mode.name, res.Count, len(want))
 				}
 				if res.ShardsQueried != 3 {
 					t.Fatalf("%s/%v/%s: ShardsQueried = %d, want 3", src, m, mode.name, res.ShardsQueried)
@@ -271,7 +311,7 @@ func TestCorpusChaosOneShard(t *testing.T) {
 		t.Fatal("shard 1 was not built on the fault-injecting file")
 	}
 	pat := MustParsePattern(`//article//author`)
-	want := standaloneResults(t, ids, docs, pat)
+	want := oracleCorpusResults(t, ids, docs, pat)
 	opt, err := c.Optimize(pat, MethodDPP, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -284,20 +324,16 @@ func TestCorpusChaosOneShard(t *testing.T) {
 		}
 		return res, err
 	}
-	modes := []RunOptions{
-		{},
-		{Workers: 2},
-		{ExecOptions: ExecOptions{NoBatch: true}},
-	}
 	var fired, healed int
-	for _, mode := range modes {
+	for _, lane := range oracleLanes {
+		mode := lane.opts
 		faulty.SetPolicy(faultfs.Policy{})
 		base, err := run(mode)
 		if err != nil {
-			t.Fatalf("baseline: %v", err)
+			t.Fatalf("%s baseline: %v", lane.name, err)
 		}
-		if !sameCorpusMatches(base.Matches, want) {
-			t.Fatal("baseline differs from per-document concatenation")
+		if !corpusMatchesOracle(base, mode, want) {
+			t.Fatalf("%s baseline differs from the per-document oracle", lane.name)
 		}
 		reads := int(faulty.Reads())
 		for _, p := range faultPoints(reads) {
@@ -313,8 +349,8 @@ func TestCorpusChaosOneShard(t *testing.T) {
 				if res != nil {
 					t.Fatalf("failNth=%d: partial result alongside error", p)
 				}
-			} else if !sameCorpusMatches(res.Matches, want) {
-				t.Fatalf("failNth=%d: result differs from fault-free answer", p)
+			} else if !corpusMatchesOracle(res, mode, want) {
+				t.Fatalf("%s failNth=%d: result differs from the oracle", lane.name, p)
 			}
 
 			// Transient failure: the shard pool's retry loop heals it.
@@ -323,8 +359,8 @@ func TestCorpusChaosOneShard(t *testing.T) {
 			if err != nil {
 				t.Fatalf("transient failNth=%d: %v", p, err)
 			}
-			if !sameCorpusMatches(res.Matches, want) {
-				t.Fatalf("transient failNth=%d: result differs", p)
+			if !corpusMatchesOracle(res, mode, want) {
+				t.Fatalf("%s transient failNth=%d: result differs from the oracle", lane.name, p)
 			}
 			if faulty.FaultsInjected() > 0 {
 				healed++

@@ -11,11 +11,11 @@ import (
 	"sjos/internal/plancache"
 )
 
-// TestGreedyDifferential pins the statistics-free Greedy orderer against DP
-// on the Table-3 workload shapes, across serial/parallel execution and the
-// batched/tuple paths. Greedy may pick a different join order, but the
-// result set must be identical; run under -race this also shakes out any
-// sharing bug in the greedy builder's plans.
+// TestGreedyDifferential pins the statistics-free Greedy orderer and DP to
+// the TwigStack oracle on the Table-3 workload shapes, in every oracle lane
+// (serial/parallel × materialised/CountOnly). Greedy may pick a different
+// join order, but the result set must be identical; run under -race this
+// also shakes out any sharing bug in the greedy planner's plans.
 func TestGreedyDifferential(t *testing.T) {
 	db, err := GenerateDataset("pers", 1, 1, nil)
 	if err != nil {
@@ -29,31 +29,13 @@ func TestGreedyDifferential(t *testing.T) {
 	}
 	for _, q := range queries {
 		pat := MustParsePattern(q)
-		for _, workers := range []int{0, 4} {
-			h := db
-			if workers > 0 {
-				h = db.WithParallelism(workers)
+		want := twigStackMatches(t, db, pat)
+		for _, m := range []Method{MethodDP, MethodGreedy} {
+			res, err := db.Optimize(pat, m, 0)
+			if err != nil {
+				t.Fatalf("%s %v: %v", q, m, err)
 			}
-			var want []string
-			for _, nobatch := range []bool{false, true} {
-				for mi, m := range []Method{MethodDP, MethodGreedy} {
-					res, err := h.QueryPatternContext(context.Background(), pat, QueryOptions{
-						ExecOptions: ExecOptions{Method: m, NoBatch: nobatch, NoCache: true},
-					})
-					if err != nil {
-						t.Fatalf("%s %v workers=%d nobatch=%v: %v", q, m, workers, nobatch, err)
-					}
-					got := canonicalize(res.Matches)
-					if mi == 0 && !nobatch && want == nil {
-						want = got
-						continue
-					}
-					if !equalStrings(got, want) {
-						t.Fatalf("%s %v workers=%d nobatch=%v: %d matches, want %d",
-							q, m, workers, nobatch, len(got), len(want))
-					}
-				}
-			}
+			checkOracleLanes(t, db, pat, res.Plan, want, fmt.Sprintf("%s %v", q, m))
 		}
 	}
 }

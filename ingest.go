@@ -134,6 +134,30 @@ func buildIngestDatabase(seeds []seedDoc, opts *Options) (*Database, error) {
 	if len(txns) > 0 && len(seeds) > 0 {
 		return nil, fmt.Errorf("sjos: WAL already holds %d committed transactions; open without documents (OpenDatabase) to recover", len(txns))
 	}
+	ing := newIngestState(wal, opts)
+	return ing.open(opts, admission.New(opts.MaxInFlight, opts.QueueDepth), func(file PageFile) (*storage.Store, error) {
+		if file.NumPages() != 0 {
+			return nil, fmt.Errorf("sjos: ingestion store file must be fresh (the WAL is the durable state); got %d pages", file.NumPages())
+		}
+		if len(txns) > 0 {
+			return ing.recover(txns, file)
+		}
+		return ing.bootstrap(seeds, file)
+	})
+}
+
+// newFollowerIngest builds the write-path state for a corpus replica
+// follower: same members and store as the primary, no WAL of its own.
+func newFollowerIngest(seeds []seedDoc, opts *Options) (*Database, error) {
+	ing := newIngestState(nil, opts)
+	return ing.open(opts, admission.New(0, 0), func(file PageFile) (*storage.Store, error) {
+		return ing.bootstrap(seeds, file)
+	})
+}
+
+// newIngestState captures the construction-time settings of a write path,
+// with the compaction defaults applied; wal is nil on replica followers.
+func newIngestState(wal *storage.WAL, opts *Options) *ingestState {
 	ing := &ingestState{
 		wal:         wal,
 		byID:        make(map[string]int),
@@ -150,64 +174,18 @@ func buildIngestDatabase(seeds []seedDoc, opts *Options) (*Database, error) {
 	if ing.compactFile == nil {
 		ing.compactFile = func() PageFile { return storage.NewMemFile() }
 	}
-
-	file, err := storeFile(opts)
-	if err != nil {
-		return nil, err
-	}
-	if file.NumPages() != 0 {
-		return nil, fmt.Errorf("sjos: ingestion store file must be fresh (the WAL is the durable state); got %d pages", file.NumPages())
-	}
-
-	var store *storage.Store
-	if len(txns) > 0 {
-		store, err = ing.recover(txns, file)
-	} else {
-		store, err = ing.bootstrap(seeds, file)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if ing.retry != (RetryPolicy{}) {
-		store.Pool().SetRetryPolicy(ing.retry)
-	}
-
-	svc := newService(nil, opts.HistogramGrid, opts.PlanCacheCapacity)
-	svc.admit = admission.New(opts.MaxInFlight, opts.QueueDepth)
-	db := &Database{
-		dbState: &dbState{
-			model:  opts.model(),
-			svc:    svc,
-			ingest: ing,
-		},
-	}
-	db.publishLocked(ing.forest, store)
-	return db, nil
+	return ing
 }
 
-// newFollowerIngest builds the write-path state for a corpus replica
-// follower: same members and store as the primary, no WAL of its own.
-func newFollowerIngest(seeds []seedDoc, opts *Options) (*Database, error) {
-	ing := &ingestState{
-		byID:        make(map[string]int),
-		grid:        opts.HistogramGrid,
-		poolFrames:  opts.PoolFrames,
-		sopts:       storage.StoreOptions{NoValueIndex: opts.NoValueIndex},
-		retry:       opts.Retry,
-		compactThr:  opts.CompactThreshold,
-		compactFile: opts.CompactFile,
-	}
-	if ing.compactThr == 0 {
-		ing.compactThr = DefaultCompactThreshold
-	}
-	if ing.compactFile == nil {
-		ing.compactFile = func() PageFile { return storage.NewMemFile() }
-	}
+// open resolves the store file, lays the initial store down on it with
+// build (bootstrap or WAL recovery), applies the retry policy and publishes
+// the first snapshot as a new Database whose service admits through admit.
+func (ing *ingestState) open(opts *Options, admit *admission.Controller, build func(PageFile) (*storage.Store, error)) (*Database, error) {
 	file, err := storeFile(opts)
 	if err != nil {
 		return nil, err
 	}
-	store, err := ing.bootstrap(seeds, file)
+	store, err := build(file)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +193,7 @@ func newFollowerIngest(seeds []seedDoc, opts *Options) (*Database, error) {
 		store.Pool().SetRetryPolicy(ing.retry)
 	}
 	svc := newService(nil, opts.HistogramGrid, opts.PlanCacheCapacity)
-	svc.admit = admission.New(0, 0)
+	svc.admit = admit
 	db := &Database{
 		dbState: &dbState{
 			model:  opts.model(),

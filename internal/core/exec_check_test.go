@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-
 	"reflect"
 	"testing"
 
@@ -13,7 +12,8 @@ import (
 )
 
 // checkPlansProduceReference optimizes pat with every method and verifies
-// each chosen plan executes to the brute-force reference result.
+// each chosen plan executes to the brute-force reference result, serially
+// and partition-parallel, materialised and counted.
 func checkPlansProduceReference(t *testing.T, doc *xmltree.Document, pat *pattern.Pattern, est *Estimator) {
 	t.Helper()
 	st, err := storage.BuildStore(doc, 0)
@@ -51,12 +51,28 @@ func checkPlansProduceReference(t *testing.T, doc *xmltree.Document, pat *patter
 		}
 		got := exec.NormalizeAll(op.Schema(), pat.N(), raw)
 		exec.SortCanonical(got)
-		if len(got) == 0 && len(want) == 0 {
-			continue
+		if len(got) != 0 || len(want) != 0 {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: plan produced %d matches, reference %d\n%s",
+					m, len(got), len(want), r.Plan.Format(pat))
+			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: plan produced %d matches, reference %d\n%s",
-				m, len(got), len(want), r.Plan.Format(pat))
+		n, err := exec.RunCount(&exec.Context{Doc: doc, Store: st}, pat, r.Plan)
+		if err != nil || n != len(want) {
+			t.Fatalf("%v: count %d (%v), reference %d", m, n, err, len(want))
+		}
+		pe := &exec.ParallelExec{Workers: 2, Partitions: 3}
+		par, err := pe.Run(context.Background(), &exec.Context{Doc: doc, Store: st}, pat, r.Plan)
+		if err != nil {
+			t.Fatalf("%v: parallel execution: %v", m, err)
+		}
+		exec.SortCanonical(par)
+		if len(par) != len(want) || (len(want) != 0 && !reflect.DeepEqual(par, want)) {
+			t.Fatalf("%v: parallel plan produced %d matches, reference %d", m, len(par), len(want))
+		}
+		pn, err := pe.RunCount(context.Background(), &exec.Context{Doc: doc, Store: st}, pat, r.Plan)
+		if err != nil || pn != len(want) {
+			t.Fatalf("%v: parallel count %d (%v), reference %d", m, pn, err, len(want))
 		}
 	}
 }

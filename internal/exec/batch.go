@@ -15,9 +15,9 @@ const BatchRows = 1024
 // Batch is a reusable block of tuples with one flat backing array: row i is
 // the width-sized slice at offset i*width. Rows handed out by Row alias the
 // backing array, so they are valid only until the batch is reset or
-// refilled — consumers that retain tuples must copy them (see Drain's
-// batched path). The caller owns the batch it passes to NextBatch;
-// operators own the batches they use to read their children.
+// refilled — consumers that retain tuples must copy them (see Drain). The
+// caller owns the batch it passes to NextBatch; operators own the batches
+// they use to read their children.
 type Batch struct {
 	width int
 	rows  int
@@ -54,8 +54,7 @@ func (b *Batch) AppendRow(t Tuple) {
 }
 
 // AppendPair copies a join output (left tuple then right tuple) into the
-// batch without materialising the concatenation anywhere else — this is
-// what replaces the tuple path's per-output allocation in joined.
+// batch without materialising the concatenation anywhere else.
 func (b *Batch) AppendPair(l, r Tuple) {
 	b.buf = append(append(b.buf, l...), r...)
 	b.rows++
@@ -81,50 +80,6 @@ func (b *Batch) Truncate(n int) {
 	}
 }
 
-// BatchOperator is the vectorized iterator contract: NextBatch fills b with
-// the next rows of the stream (after resetting it) and an empty batch marks
-// the end of the stream. Mixing NextBatch and Next calls on one operator
-// instance is not supported — the driver picks one mode at the root and the
-// tree follows. On error the batch's contents are undefined.
-type BatchOperator interface {
-	Operator
-	NextBatch(b *Batch) error
-}
-
-// batchFromTuples adapts a tuple-only operator to the batch contract by
-// pulling Next in a loop. It keeps Unwrap so the seek probe can still reach
-// a Seeker underneath.
-type batchFromTuples struct{ Operator }
-
-// NextBatch implements BatchOperator.
-func (a batchFromTuples) NextBatch(b *Batch) error {
-	b.Reset()
-	for !b.Full() {
-		t, ok, err := a.Operator.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		b.AppendRow(t)
-	}
-	return nil
-}
-
-// Unwrap exposes the adapted operator.
-func (a batchFromTuples) Unwrap() Operator { return a.Operator }
-
-// AsBatchOperator returns op itself if it is batch-native, or a
-// tuple-pulling adapter otherwise, so any operator can sit under a batched
-// consumer.
-func AsBatchOperator(op Operator) BatchOperator {
-	if bop, ok := op.(BatchOperator); ok {
-		return bop
-	}
-	return batchFromTuples{op}
-}
-
 // Seeker is the skip-ahead contract: SeekGE discards every pending output
 // row whose join-column Start position is below pos, without producing it.
 // ok is false when the operator cannot seek (then nothing was consumed);
@@ -134,35 +89,20 @@ type Seeker interface {
 	SeekGE(pos xmltree.Pos) (skipped int, ok bool, err error)
 }
 
-// trySeek probes op (unwrapping adapters) for skip-ahead support and seeks
-// if possible.
-func trySeek(op any, pos xmltree.Pos) (int, bool, error) {
-	for {
-		if s, ok := op.(Seeker); ok {
-			return s.SeekGE(pos)
-		}
-		u, ok := op.(interface{ Unwrap() Operator })
-		if !ok {
-			return 0, false, nil
-		}
-		op = u.Unwrap()
-	}
-}
-
 // batchReader pulls one operator's output through a private batch, serving
 // rows with plain slice indexing instead of a virtual call per tuple. The
 // row returned by next is valid until the reader refills, which happens
 // only on the next-after-last row — so the consumer may hold the current
 // row across arbitrarily many of its own emissions.
 type batchReader struct {
-	bop   BatchOperator
+	op    Operator
 	batch *Batch
 	i     int
 	eof   bool
 }
 
 func newBatchReader(op Operator) *batchReader {
-	return &batchReader{bop: AsBatchOperator(op), batch: NewBatch(op.Schema().Width())}
+	return &batchReader{op: op, batch: NewBatch(op.Schema().Width())}
 }
 
 // next returns the next row of the stream.
@@ -180,7 +120,7 @@ func (r *batchReader) refill() (Tuple, bool, error) {
 	if r.eof {
 		return nil, false, nil
 	}
-	if err := r.bop.NextBatch(r.batch); err != nil {
+	if err := r.op.NextBatch(r.batch); err != nil {
 		return nil, false, err
 	}
 	r.i = 0
@@ -214,12 +154,14 @@ func (r *batchReader) seekGE(pos xmltree.Pos, doc *xmltree.Document, col int) (T
 		if r.eof {
 			return nil, false, nil
 		}
-		if _, _, err := trySeek(r.bop, pos); err != nil {
-			return nil, false, err
+		if s, ok := r.op.(Seeker); ok {
+			if _, _, err := s.SeekGE(pos); err != nil {
+				return nil, false, err
+			}
 		}
 		// Refill regardless of seek support; unsupported seeks fall back to
 		// discarding batch-wise in the loop above.
-		if err := r.bop.NextBatch(r.batch); err != nil {
+		if err := r.op.NextBatch(r.batch); err != nil {
 			return nil, false, err
 		}
 		r.i = 0
@@ -266,76 +208,4 @@ func (a *nodeArena) joined(l, r Tuple) Tuple {
 	n := copy(s, l)
 	copy(s[n:], r)
 	return Tuple(s)
-}
-
-// DrainBatched is Drain over the batched execution path: the plan is driven
-// with NextBatch at the root (operators batch recursively), and rows are
-// copied out of the reused batch into stable arena-backed tuples.
-func DrainBatched(ctx *Context, op Operator) ([]Tuple, error) {
-	bop := AsBatchOperator(op)
-	if err := op.Open(ctx); err != nil {
-		return nil, err
-	}
-	var (
-		out   []Tuple
-		arena nodeArena
-		b     = NewBatch(op.Schema().Width())
-	)
-	for {
-		if ctx.Interrupt != nil {
-			if err := ctx.Interrupt(); err != nil {
-				op.Close()
-				return nil, err
-			}
-		}
-		if err := bop.NextBatch(b); err != nil {
-			op.Close()
-			return nil, err
-		}
-		if b.Len() == 0 {
-			break
-		}
-		ctx.Stats.Batches++
-		for i := 0; i < b.Len(); i++ {
-			out = append(out, arena.copyTuple(b.Row(i)))
-		}
-	}
-	if err := op.Close(); err != nil {
-		return nil, err
-	}
-	ctx.Stats.OutputTuples = len(out)
-	return out, nil
-}
-
-// CountBatched is Count over the batched execution path; it never touches
-// row contents, so counting costs one virtual call per batch.
-func CountBatched(ctx *Context, op Operator) (int, error) {
-	bop := AsBatchOperator(op)
-	if err := op.Open(ctx); err != nil {
-		return 0, err
-	}
-	n := 0
-	b := NewBatch(op.Schema().Width())
-	for {
-		if ctx.Interrupt != nil {
-			if err := ctx.Interrupt(); err != nil {
-				op.Close()
-				return 0, err
-			}
-		}
-		if err := bop.NextBatch(b); err != nil {
-			op.Close()
-			return 0, err
-		}
-		if b.Len() == 0 {
-			break
-		}
-		ctx.Stats.Batches++
-		n += b.Len()
-	}
-	if err := op.Close(); err != nil {
-		return 0, err
-	}
-	ctx.Stats.OutputTuples = n
-	return n, nil
 }

@@ -1,52 +1,67 @@
 package exec
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"sjos/internal/pattern"
 	"sjos/internal/plan"
+	"sjos/internal/storage"
 	"sjos/internal/xmltree"
 )
 
-// runEdgeJoinBatched is runEdgeJoin driven through the batched path on a
-// freshly built tree (one mode per operator instance).
-func runEdgeJoinBatched(t *testing.T, doc *xmltree.Document, anc, desc string, ax pattern.Axis, algo plan.Algo) []Tuple {
-	t.Helper()
-	src := "//" + anc + "/" + desc
-	if ax == pattern.Descendant {
-		src = "//" + anc + "//" + desc
-	}
-	pat := pattern.MustParse(src)
-	j, err := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1), 0, 1, ax, algo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DrainBatched(newCtx(t, doc), j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NormalizeAll(j.Schema(), 2, out)
-}
-
-// TestBatchMatchesTupleRandomDocs is the executor's core differential
-// property: on random documents, the batched path must produce exactly the
-// tuple path's multiset for both axes and both join algorithms.
-func TestBatchMatchesTupleRandomDocs(t *testing.T) {
+// TestOracleRandomDocs is the executor's differential property against the
+// brute-force oracle: on random documents large enough to span many
+// batches (so reader refills and cross-batch skip-ahead run), both join
+// algorithms on both axes, run serially and partition-parallel,
+// materialised and counted, must return exactly ReferenceMatches.
+func TestOracleRandomDocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	tags := []string{"a", "b", "c"}
-	for trial := 0; trial < 120; trial++ {
-		doc := xmltree.RandomDocument(rng, 2+rng.Intn(120), tags)
+	pe := &ParallelExec{Workers: 2, Partitions: 3}
+	for trial := 0; trial < 10; trial++ {
+		doc := xmltree.RandomDocument(rng, 200+rng.Intn(4*BatchRows), tags)
+		st, err := storage.BuildStore(doc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, ax := range []pattern.Axis{pattern.Child, pattern.Descendant} {
 			for _, algo := range []plan.Algo{plan.AlgoDesc, plan.AlgoAnc} {
-				a := tags[rng.Intn(len(tags))]
-				b := tags[rng.Intn(len(tags))]
-				got := runEdgeJoinBatched(t, doc, a, b, ax, algo)
-				want := runEdgeJoin(t, doc, a, b, ax, algo)
+				a, b := tags[rng.Intn(len(tags))], tags[rng.Intn(len(tags))]
+				src := "//" + a + "/" + b
+				if ax == pattern.Descendant {
+					src = "//" + a + "//" + b
+				}
+				pat := pattern.MustParse(src)
+				p := plan.NewJoin(plan.NewIndexScan(0), plan.NewIndexScan(1), 0, 1, ax, algo)
+				want := ReferenceMatches(doc, pat)
+				label := fmt.Sprintf("trial %d %s via %v", trial, src, algo)
+
+				got, err := Run(&Context{Doc: doc, Store: st}, pat, p)
+				if err != nil {
+					t.Fatalf("%s serial: %v", label, err)
+				}
 				if !sortedEq(got, want) {
-					t.Fatalf("trial %d: %s %v %s via %v: batched %d, tuple %d",
-						trial, a, ax, b, algo, len(got), len(want))
+					t.Fatalf("%s serial: %d matches, reference %d", label, len(got), len(want))
+				}
+				n, err := RunCount(&Context{Doc: doc, Store: st}, pat, p)
+				if err != nil || n != len(want) {
+					t.Fatalf("%s serial count: %d (%v), reference %d", label, n, err, len(want))
+				}
+				pgot, err := pe.Run(context.Background(), &Context{Doc: doc, Store: st}, pat, p)
+				if err != nil {
+					t.Fatalf("%s parallel: %v", label, err)
+				}
+				if !sortedEq(pgot, want) {
+					t.Fatalf("%s parallel: %d matches, reference %d", label, len(pgot), len(want))
+				}
+				pn, err := pe.RunCount(context.Background(), &Context{Doc: doc, Store: st}, pat, p)
+				if err != nil || pn != len(want) {
+					t.Fatalf("%s parallel count: %d (%v), reference %d", label, pn, err, len(want))
 				}
 			}
 		}
@@ -71,7 +86,7 @@ func TestBatchMultiJoinPipeline(t *testing.T) {
 		return men
 	}
 	op := build()
-	got, err := DrainBatched(newCtx(t, doc), op)
+	got, err := Drain(newCtx(t, doc), op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +99,7 @@ func TestBatchMultiJoinPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := DrainBatched(newCtx(t, doc), srt)
+	sorted, err := Drain(newCtx(t, doc), srt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +114,7 @@ func TestBatchMultiJoinPipeline(t *testing.T) {
 	}
 
 	for _, n := range []int{0, 1, 3, len(want), len(want) + 5} {
-		lim, err := DrainBatched(newCtx(t, doc), NewLimit(build(), n))
+		lim, err := Drain(newCtx(t, doc), NewLimit(build(), n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,31 +128,42 @@ func TestBatchMultiJoinPipeline(t *testing.T) {
 	}
 }
 
-// TestBatchLimitNotSeekable guards the deliberate hole in the Unwrap chain:
-// a skip-ahead probe must not reach through a Limit, because seeking past
-// rows the Limit has not counted would break its cap accounting.
+// TestBatchLimitNotSeekable guards a deliberate hole in skip-ahead: a Limit
+// must not be a Seeker, because seeking past rows the Limit has not counted
+// would break its cap accounting.
 func TestBatchLimitNotSeekable(t *testing.T) {
 	pat := pattern.MustParse("//a//b")
-	l := NewLimit(NewIndexScan(pat, 0), 1)
-	if _, ok, _ := trySeek(l, 10); ok {
-		t.Fatal("trySeek reached through a Limit; seeks would bypass the row cap")
+	var l Operator = NewLimit(NewIndexScan(pat, 0), 1)
+	if _, ok := l.(Seeker); ok {
+		t.Fatal("Limit implements Seeker; seeks would bypass the row cap")
 	}
 }
 
-// TestTrySeekUnwrapsAdapters checks the seek probe walks the adapter chain
-// down to the scan — the dynamic-dispatch hole Go embedding leaves is
-// bridged by explicit Unwrap methods.
+// TestTrySeekUnwrapsAdapters checks a skip-ahead seek reaches through the
+// tracing wrapper to the scan it wraps, with the bypassed postings
+// recorded, so traced execution skips exactly like untraced execution; a
+// wrapper over an operator that cannot seek must report so.
 func TestTrySeekUnwrapsAdapters(t *testing.T) {
 	doc := personnelDoc(t)
 	pat := pattern.MustParse("//manager//name")
 	s := NewIndexScan(pat, 1)
-	if err := s.Open(newCtx(t, doc)); err != nil {
+	tr := &traced{inner: s, acc: &traceAcc{node: plan.NewIndexScan(1)}}
+	if err := tr.Open(newCtx(t, doc)); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	var wrapped Operator = batchFromTuples{s}
-	if _, ok, err := trySeek(wrapped, 0); !ok || err != nil {
-		t.Fatalf("trySeek through adapter: ok=%v err=%v, want seekable", ok, err)
+	defer tr.Close()
+	nm, _ := doc.LookupTag("name")
+	names := doc.NodesWithTag(nm)
+	skipped, ok, err := tr.SeekGE(doc.Start(names[2]))
+	if !ok || err != nil {
+		t.Fatalf("SeekGE through traced: ok=%v err=%v, want seekable", ok, err)
+	}
+	if skipped != 2 || tr.skipped != 2 {
+		t.Fatalf("skipped %d (traced records %d), want 2", skipped, tr.skipped)
+	}
+	var unseekable Operator = &traced{inner: NewLimit(s, 1)}
+	if _, ok, _ := unseekable.(Seeker).SeekGE(0); ok {
+		t.Fatal("traced reported a seek on an operator that cannot seek")
 	}
 }
 
@@ -175,19 +201,15 @@ func TestIndexScanSkipAhead(t *testing.T) {
 	if ctx.Stats.SkippedTuples != 40 {
 		t.Fatalf("SkippedTuples = %d, want 40", ctx.Stats.SkippedTuples)
 	}
-	var rest int
-	for {
-		tup, ok, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		if doc.Start(tup[0]) < aStart {
+	b := NewBatch(1)
+	if err := s.NextBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	rest := b.Len()
+	for i := 0; i < rest; i++ {
+		if doc.Start(b.Row(i)[0]) < aStart {
 			t.Fatal("scan produced a row from the skipped region")
 		}
-		rest++
 	}
 	if rest != 2 {
 		t.Fatalf("post-seek scan produced %d rows, want 2", rest)
@@ -196,7 +218,7 @@ func TestIndexScanSkipAhead(t *testing.T) {
 
 // TestJoinSkipAheadEndToEnd drives the whole skip-ahead path: a sparse
 // ancestor stream over a dense descendant stream must trigger seeks (counted
-// in SkippedTuples) and still produce exactly the tuple path's result.
+// in SkippedTuples) and still produce exactly the reference result.
 func TestJoinSkipAheadEndToEnd(t *testing.T) {
 	// Dead regions of bs between sparse as; only bs inside as match. Each
 	// dead region is bigger than one Batch so the skip must reach the
@@ -222,7 +244,7 @@ func TestJoinSkipAheadEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx := newCtx(t, doc)
-		got, err := DrainBatched(ctx, j)
+		got, err := Drain(ctx, j)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,42 +293,47 @@ func TestAncReadyQueueReleasesSlots(t *testing.T) {
 	}
 }
 
-// TestIndexScanLocalInterruptCounter is the regression test for the
-// interrupt-poll stride: it must tick on a scan-local counter, not the
-// context's shared ScannedTuples (which other operators also bump, making
-// the stride drift under concurrent scans).
-func TestIndexScanLocalInterruptCounter(t *testing.T) {
+// TestIndexScanBatchedInterrupt checks cancellation reaches a long scan
+// on its own: the scan polls ctx.Interrupt before every posting block, so a
+// scan spanning many batches is polled once per block and stops with the
+// interrupt's error instead of reading on.
+func TestIndexScanBatchedInterrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	doc := xmltree.RandomDocument(rng, 9000, []string{"a"})
 	pat := pattern.MustParse("//a//a")
 	ctx := newCtx(t, doc)
 	polls := 0
 	ctx.Interrupt = func() error { polls++; return nil }
-	// Pre-poison the shared counter: a stride keyed off it would start
-	// mid-cycle, while the scan-local stride is unaffected.
-	ctx.Stats.ScannedTuples = 1<<20 + 17
+	n, err := Count(ctx, NewIndexScan(pat, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 9000 || ctx.Stats.Batches < n/BatchRows {
+		t.Fatalf("scanned %d rows in %d batches", n, ctx.Stats.Batches)
+	}
+	// Count polls once per root batch; the scan adds its own polls.
+	if polls <= ctx.Stats.Batches {
+		t.Fatalf("interrupt polled %d times over %d batches; the scan never polled", polls, ctx.Stats.Batches)
+	}
+
+	errStop := errors.New("stop")
+	ctx = newCtx(t, doc)
 	s := NewIndexScan(pat, 0)
 	if err := s.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for {
-		_, ok, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
+	defer s.Close()
+	b := NewBatch(1)
+	if err := s.NextBatch(b); err != nil {
+		t.Fatal(err)
 	}
-	s.Close()
-	if s.rows != n {
-		t.Fatalf("scan-local row counter = %d after %d rows", s.rows, n)
+	ctx.Interrupt = func() error { return errStop }
+	before := ctx.Stats.ScannedTuples
+	if err := s.NextBatch(b); !errors.Is(err, errStop) {
+		t.Fatalf("NextBatch after cancel: %v, want the interrupt's error", err)
 	}
-	if want := n / 0x1000; polls != want {
-		t.Fatalf("interrupt polled %d times over %d rows, want %d (scan-local 0x1000 stride)",
-			polls, n, want)
+	if ctx.Stats.ScannedTuples != before {
+		t.Fatalf("cancelled scan read %d more postings", ctx.Stats.ScannedTuples-before)
 	}
 }
 
@@ -377,10 +404,11 @@ func TestBatchReaderSeekWithinBuffer(t *testing.T) {
 	}
 }
 
-// TestBatchVsTupleBuiltPlans cross-checks complete built plans (via the
-// optimizer-facing Build/Run path) between the tuple and batched drivers,
-// against the brute-force reference, on left-deep and branching shapes.
-func TestBatchVsTupleBuiltPlans(t *testing.T) {
+// TestOracleBuiltPlans cross-checks complete built plans (via the
+// optimizer-facing Build/Run path) against the brute-force reference on
+// left-deep and branching shapes: serial and partition-parallel,
+// materialised and counted.
+func TestOracleBuiltPlans(t *testing.T) {
 	doc := personnelDoc(t)
 	cases := []struct {
 		src string
@@ -399,30 +427,35 @@ func TestBatchVsTupleBuiltPlans(t *testing.T) {
 				plan.NewJoin(plan.NewIndexScan(0), plan.NewIndexScan(1), 0, 1, pattern.Descendant, plan.AlgoDesc),
 				plan.NewIndexScan(2), 1, 2, pattern.Descendant, plan.AlgoDesc)},
 	}
+	pe := &ParallelExec{Workers: 2, Partitions: 2}
 	for _, tc := range cases {
 		pat := pattern.MustParse(tc.src)
 		if err := tc.p.Validate(pat, false); err != nil {
 			t.Fatalf("%s: test plan invalid: %v", tc.src, err)
 		}
-		gotB, err := RunBatched(newCtx(t, doc), pat, tc.p)
-		if err != nil {
-			t.Fatalf("%s batched: %v", tc.src, err)
-		}
-		gotT, err := Run(newCtx(t, doc), pat, tc.p)
-		if err != nil {
-			t.Fatalf("%s tuple: %v", tc.src, err)
-		}
 		want := ReferenceMatches(doc, pat)
-		if !sortedEq(gotB, want) || !sortedEq(gotT, want) {
-			t.Fatalf("%s: batched %d, tuple %d, reference %d matches",
-				tc.src, len(gotB), len(gotT), len(want))
-		}
-		nb, err := RunCountBatched(newCtx(t, doc), pat, tc.p)
+		got, err := Run(newCtx(t, doc), pat, tc.p)
 		if err != nil {
-			t.Fatalf("%s count batched: %v", tc.src, err)
+			t.Fatalf("%s: %v", tc.src, err)
 		}
-		if nb != len(want) {
-			t.Fatalf("%s: CountBatched = %d, want %d", tc.src, nb, len(want))
+		pgot, err := pe.Run(context.Background(), newCtx(t, doc), pat, tc.p)
+		if err != nil {
+			t.Fatalf("%s parallel: %v", tc.src, err)
+		}
+		if !sortedEq(got, want) || !sortedEq(pgot, want) {
+			t.Fatalf("%s: serial %d, parallel %d, reference %d matches",
+				tc.src, len(got), len(pgot), len(want))
+		}
+		n, err := RunCount(newCtx(t, doc), pat, tc.p)
+		if err != nil {
+			t.Fatalf("%s count: %v", tc.src, err)
+		}
+		pn, err := pe.RunCount(context.Background(), newCtx(t, doc), pat, tc.p)
+		if err != nil {
+			t.Fatalf("%s parallel count: %v", tc.src, err)
+		}
+		if n != len(want) || pn != len(want) {
+			t.Fatalf("%s: Count = %d, parallel %d, want %d", tc.src, n, pn, len(want))
 		}
 	}
 }

@@ -87,28 +87,6 @@ func RunCount(ctx *Context, pat *pattern.Pattern, p *plan.Node) (int, error) {
 	return Count(ctx, op)
 }
 
-// RunBatched is Run over the batched execution path.
-func RunBatched(ctx *Context, pat *pattern.Pattern, p *plan.Node) ([]Tuple, error) {
-	op, err := Build(pat, p)
-	if err != nil {
-		return nil, err
-	}
-	out, err := DrainBatched(ctx, op)
-	if err != nil {
-		return nil, err
-	}
-	return NormalizeAll(op.Schema(), pat.N(), out), nil
-}
-
-// RunCountBatched is RunCount over the batched execution path.
-func RunCountBatched(ctx *Context, pat *pattern.Pattern, p *plan.Node) (int, error) {
-	op, err := Build(pat, p)
-	if err != nil {
-		return 0, err
-	}
-	return CountBatched(ctx, op)
-}
-
 // Normalize reorders one tuple from the schema's slot layout to
 // pattern-node order.
 func Normalize(s *Schema, n int, t Tuple) Tuple {

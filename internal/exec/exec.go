@@ -1,6 +1,6 @@
-// Package exec is the physical query executor: a Volcano-style iterator
-// interpreter for the plans of internal/plan, over the stores of
-// internal/storage.
+// Package exec is the physical query executor: a vectorized Volcano-style
+// iterator interpreter for the plans of internal/plan, over the stores of
+// internal/storage. Operators exchange batches of up to BatchRows tuples.
 //
 // It implements the operator set the paper's plans are made of:
 //
@@ -27,7 +27,8 @@ import (
 
 // Tuple is one partial match: a vector of document nodes. Which pattern
 // node each slot binds is described by the operator's Schema. Tuples
-// returned by Next are immutable and may be retained by the caller.
+// returned by Drain are immutable and may be retained by the caller; rows
+// of a Batch are views that stay valid only until the batch is refilled.
 type Tuple []xmltree.NodeID
 
 // Schema maps pattern nodes to tuple slots.
@@ -71,7 +72,7 @@ type Stats struct {
 	BufferedPairs int // pairs written to Anc self/inherit lists (f_IO term)
 	SortedTuples  int // tuples materialised by Sort operators (f_s term)
 	OutputTuples  int // tuples produced by the plan root
-	Batches       int // root-level NextBatch calls on the batched path
+	Batches       int // non-empty root-level NextBatch results
 	SkippedTuples int // index postings bypassed by skip-ahead seeks
 	ValueProbes   int // value-index probes opened (predicate pushdown leaves)
 }
@@ -116,77 +117,79 @@ type Context struct {
 	Interrupt func() error
 }
 
-// Operator is the Volcano iterator contract. Usage: Open, repeated Next
-// until ok is false, Close. Operators are single-use.
+// Operator is the vectorized Volcano iterator contract. Usage: Open,
+// repeated NextBatch until it returns an empty batch, Close. Operators are
+// single-use.
 type Operator interface {
 	// Schema describes the operator's output layout; valid before Open.
 	Schema() *Schema
 	// Open prepares the operator (and its subtree) for iteration.
 	Open(ctx *Context) error
-	// Next returns the next output tuple; ok is false at end of stream.
-	Next() (t Tuple, ok bool, err error)
+	// NextBatch fills b with the next rows of the stream (after resetting
+	// it); an empty batch marks the end of the stream. On error the
+	// batch's contents are undefined.
+	NextBatch(b *Batch) error
 	// Close releases resources; must be called exactly once after Open.
 	Close() error
 }
 
-// Drain runs op to completion, returning all output tuples.
+// Drain runs op to completion, returning all output tuples. Rows are copied
+// out of the reused batch into stable arena-backed tuples; ctx.Interrupt is
+// polled once per batch.
 func Drain(ctx *Context, op Operator) ([]Tuple, error) {
-	if err := op.Open(ctx); err != nil {
-		return nil, err
-	}
-	var out []Tuple
-	for {
-		if len(out)&63 == 0 && ctx.Interrupt != nil {
-			if err := ctx.Interrupt(); err != nil {
-				op.Close()
-				return nil, err
-			}
+	var (
+		out   []Tuple
+		arena nodeArena
+	)
+	err := pull(ctx, op, func(b *Batch) {
+		for i := 0; i < b.Len(); i++ {
+			out = append(out, arena.copyTuple(b.Row(i)))
 		}
-		t, ok, err := op.Next()
-		if err != nil {
-			op.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	if err := op.Close(); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 	ctx.Stats.OutputTuples = len(out)
 	return out, nil
 }
 
-// Count runs op to completion, returning only the output cardinality.
+// Count runs op to completion, returning only the output cardinality; it
+// never touches row contents, so counting costs one virtual call per batch.
 func Count(ctx *Context, op Operator) (int, error) {
-	if err := op.Open(ctx); err != nil {
-		return 0, err
-	}
 	n := 0
-	for {
-		if n&63 == 0 && ctx.Interrupt != nil {
-			if err := ctx.Interrupt(); err != nil {
-				op.Close()
-				return 0, err
-			}
-		}
-		_, ok, err := op.Next()
-		if err != nil {
-			op.Close()
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if err := op.Close(); err != nil {
+	if err := pull(ctx, op, func(b *Batch) { n += b.Len() }); err != nil {
 		return 0, err
 	}
 	ctx.Stats.OutputTuples = n
 	return n, nil
+}
+
+// pull is the root loop shared by Drain and Count: it opens op, hands
+// every non-empty batch to consume, polls ctx.Interrupt between batches and
+// closes op on every path.
+func pull(ctx *Context, op Operator, consume func(*Batch)) error {
+	if err := op.Open(ctx); err != nil {
+		return err
+	}
+	b := NewBatch(op.Schema().Width())
+	for {
+		if ctx.Interrupt != nil {
+			if err := ctx.Interrupt(); err != nil {
+				op.Close()
+				return err
+			}
+		}
+		if err := op.NextBatch(b); err != nil {
+			op.Close()
+			return err
+		}
+		if b.Len() == 0 {
+			break
+		}
+		ctx.Stats.Batches++
+		consume(b)
+	}
+	return op.Close()
 }
 
 // errColumn builds the error for a pattern node missing from a schema; this

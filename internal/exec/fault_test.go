@@ -28,6 +28,28 @@ func faultyStore(t *testing.T, doc *xmltree.Document, failNth int) *storage.Stor
 	return st
 }
 
+// midRunFault returns a fault ordinal inside the physical read schedule of
+// one fault-free run of query over doc (on a faultyStore-shaped store), so
+// an injected failure lands mid-query whatever the executor's page access
+// pattern is. query must build its operators afresh on every call.
+func midRunFault(t *testing.T, doc *xmltree.Document, query func(*Context) error) int {
+	t.Helper()
+	ff := faultfs.Wrap(storage.NewMemFile(), faultfs.Policy{})
+	st, err := storage.BuildStoreOn(ff, doc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff.SetPolicy(faultfs.Policy{})
+	if err := query(&Context{Doc: doc, Store: st}); err != nil {
+		t.Fatal(err)
+	}
+	reads := int(ff.Reads())
+	if reads < 2 {
+		t.Fatalf("fault-free run made %d physical reads; fixture too small to fault mid-query", reads)
+	}
+	return (reads + 1) / 2
+}
+
 // assertNoPins is the pin-leak regression check: after any execution —
 // successful or failed — every buffer-pool page must be unpinned.
 func assertNoPins(t *testing.T, st *storage.Store) {
@@ -39,11 +61,14 @@ func assertNoPins(t *testing.T, st *storage.Store) {
 
 func TestScanPropagatesStorageErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	doc := xmltree.RandomDocument(rng, 2000, []string{"a", "b"})
-	st := faultyStore(t, doc, 4)
+	doc := xmltree.RandomDocument(rng, 20000, []string{"a", "b"})
 	pat := pattern.MustParse("//a")
-	ctx := &Context{Doc: doc, Store: st}
-	_, err := Drain(ctx, NewIndexScan(pat, 0))
+	query := func(ctx *Context) error {
+		_, err := Drain(ctx, NewIndexScan(pat, 0))
+		return err
+	}
+	st := faultyStore(t, doc, midRunFault(t, doc, query))
+	err := query(&Context{Doc: doc, Store: st})
 	if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("scan error = %v, want injected failure", err)
 	}
@@ -52,17 +77,20 @@ func TestScanPropagatesStorageErrors(t *testing.T) {
 
 func TestJoinPropagatesStorageErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	doc := xmltree.RandomDocument(rng, 2000, []string{"a", "b"})
+	doc := xmltree.RandomDocument(rng, 20000, []string{"a", "b"})
 	pat := pattern.MustParse("//a//b")
 	for _, algo := range []plan.Algo{plan.AlgoDesc, plan.AlgoAnc} {
-		st := faultyStore(t, doc, 11)
-		j, err := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1),
-			0, 1, pattern.Descendant, algo)
-		if err != nil {
-			t.Fatal(err)
+		query := func(ctx *Context) error {
+			j, err := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1),
+				0, 1, pattern.Descendant, algo)
+			if err != nil {
+				return err
+			}
+			_, err = Drain(ctx, j)
+			return err
 		}
-		ctx := &Context{Doc: doc, Store: st}
-		if _, err := Drain(ctx, j); !errors.Is(err, faultfs.ErrInjected) {
+		st := faultyStore(t, doc, midRunFault(t, doc, query))
+		if err := query(&Context{Doc: doc, Store: st}); !errors.Is(err, faultfs.ErrInjected) {
 			t.Fatalf("%v: error = %v, want injected failure", algo, err)
 		}
 		assertNoPins(t, st)
@@ -71,17 +99,20 @@ func TestJoinPropagatesStorageErrors(t *testing.T) {
 
 func TestSortPropagatesStorageErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	doc := xmltree.RandomDocument(rng, 2000, []string{"a", "b"})
-	st := faultyStore(t, doc, 6)
+	doc := xmltree.RandomDocument(rng, 20000, []string{"a", "b"})
 	pat := pattern.MustParse("//a//b")
-	j, _ := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1),
-		0, 1, pattern.Descendant, plan.AlgoDesc)
-	s, err := NewSort(j, 0)
-	if err != nil {
-		t.Fatal(err)
+	query := func(ctx *Context) error {
+		j, _ := NewStackTreeJoin(NewIndexScan(pat, 0), NewIndexScan(pat, 1),
+			0, 1, pattern.Descendant, plan.AlgoDesc)
+		s, err := NewSort(j, 0)
+		if err != nil {
+			return err
+		}
+		_, err = Drain(ctx, s)
+		return err
 	}
-	ctx := &Context{Doc: doc, Store: st}
-	if _, err := Drain(ctx, s); !errors.Is(err, faultfs.ErrInjected) {
+	st := faultyStore(t, doc, midRunFault(t, doc, query))
+	if err := query(&Context{Doc: doc, Store: st}); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("sort error = %v, want injected failure", err)
 	}
 	assertNoPins(t, st)
@@ -118,25 +149,33 @@ func TestParallelExecReleasesPinsOnFailure(t *testing.T) {
 	pln := plan.NewJoin(plan.NewIndexScan(0), plan.NewIndexScan(1), 0, 1, pattern.Descendant, plan.AlgoDesc)
 	want := len(ReferenceMatches(doc, pat))
 	failed := 0
-	for _, batch := range []bool{false, true} {
+	for _, countOnly := range []bool{false, true} {
 		// A few fault points: early (during the first scans) and later
 		// (mid-join), so both open-time and next-time teardown run. A
-		// fault point past the mode's physical read count legitimately
-		// never fires (the batched path reads far fewer pages), so the
-		// contract is differential: correct result or the injected error.
+		// fault point past the query's physical read count legitimately
+		// never fires, so the contract is differential: the reference
+		// result or the injected error.
 		for _, failNth := range []int{1, 5, 25, 100} {
 			st := faultyStore(t, doc, failNth)
-			pe := &ParallelExec{Workers: 4, Partitions: 4, Batch: batch}
+			pe := &ParallelExec{Workers: 4, Partitions: 4}
 			base := &Context{Doc: doc, Store: st}
-			out, err := pe.Run(context.Background(), base, pat, pln)
+			var got int
+			var err error
+			if countOnly {
+				got, err = pe.RunCount(context.Background(), base, pat, pln)
+			} else {
+				var out []Tuple
+				out, err = pe.Run(context.Background(), base, pat, pln)
+				got = len(out)
+			}
 			if err == nil {
-				if len(out) != want {
-					t.Fatalf("batch=%v failNth=%d: %d matches, want %d", batch, failNth, len(out), want)
+				if got != want {
+					t.Fatalf("countOnly=%v failNth=%d: %d matches, want %d", countOnly, failNth, got, want)
 				}
 			} else {
 				failed++
 				if !errors.Is(err, faultfs.ErrInjected) {
-					t.Fatalf("batch=%v failNth=%d: error = %v, want injected failure", batch, failNth, err)
+					t.Fatalf("countOnly=%v failNth=%d: error = %v, want injected failure", countOnly, failNth, err)
 				}
 			}
 			assertNoPins(t, st)
@@ -147,7 +186,7 @@ func TestParallelExecReleasesPinsOnFailure(t *testing.T) {
 	}
 }
 
-// panicOp panics a fixed number of Next calls into the stream.
+// panicOp panics a fixed number of NextBatch calls into the stream.
 type panicOp struct {
 	inner Operator
 	after int
@@ -157,12 +196,12 @@ type panicOp struct {
 func (p *panicOp) Schema() *Schema         { return p.inner.Schema() }
 func (p *panicOp) Open(ctx *Context) error { return p.inner.Open(ctx) }
 func (p *panicOp) Close() error            { return p.inner.Close() }
-func (p *panicOp) Next() (Tuple, bool, error) {
+func (p *panicOp) NextBatch(b *Batch) error {
 	p.n++
 	if p.n > p.after {
 		panic("injected operator panic")
 	}
-	return p.inner.Next()
+	return p.inner.NextBatch(b)
 }
 
 // TestParallelExecRecoversWorkerPanics: a panic inside a partition worker
@@ -185,7 +224,7 @@ func TestParallelExecRecoversWorkerPanics(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return &panicOp{inner: op, after: 3}, nil
+			return &panicOp{inner: op, after: 0}, nil
 		},
 	}
 	base := &Context{Doc: doc, Store: st}

@@ -20,12 +20,10 @@ import (
 //     ancestor column). The buffering is what the cost model's
 //     2·|AB|·f_IO term charges for.
 //
-// The join runs in one of two modes, chosen by the first call it receives
-// and never mixed: tuple-at-a-time (Next) or batched (NextBatch). The
-// batched drivers additionally skip ahead: whenever the stack is empty and
-// the next ancestor starts past the current descendant, every right tuple
-// before that ancestor is provably dead, so the right input is seeked
-// (Seeker) rather than drained.
+// Both variants read their inputs through block readers and skip ahead:
+// whenever the stack is empty and the next ancestor starts past the current
+// descendant, every right tuple before that ancestor is provably dead, so
+// the right input is seeked (Seeker) rather than drained.
 type StackTreeJoin struct {
 	algo    plan.Algo
 	axis    pattern.Axis
@@ -45,7 +43,9 @@ type StackTreeJoin struct {
 	rOK    bool
 	stack  []*stackEntry
 
-	// Desc emission state: matches of the current right tuple.
+	// Desc emission state: matches of the current right tuple. emitR is a
+	// join-owned copy of that tuple, because the emission must survive
+	// advancing the right reader (which may refill its batch).
 	emit    []*stackEntry // stack snapshot (bottom..top) still to pair
 	emitIdx int
 	emitR   Tuple
@@ -56,12 +56,10 @@ type StackTreeJoin struct {
 	ready     []Tuple
 	readyHead int
 
-	// Batched-mode state: block readers over the inputs, an arena for
-	// tuples that outlive their input batch (stack copies, Anc buffered
-	// pairs), and a reusable copy of the right tuple under emission.
-	lr, rr   *batchReader
-	arena    nodeArena
-	emitRBuf Tuple
+	// Block readers over the inputs and an arena for tuples that outlive
+	// their input batch (stack copies, Anc buffered pairs).
+	lr, rr *batchReader
+	arena  nodeArena
 }
 
 type stackEntry struct {
@@ -122,27 +120,9 @@ func (j *StackTreeJoin) Close() error {
 	return err
 }
 
-// Next implements Operator.
-func (j *StackTreeJoin) Next() (Tuple, bool, error) {
-	if !j.started {
-		j.started = true
-		var err error
-		if j.lTuple, j.lOK, err = j.left.Next(); err != nil {
-			return nil, false, err
-		}
-		if j.rTuple, j.rOK, err = j.right.Next(); err != nil {
-			return nil, false, err
-		}
-	}
-	if j.algo == plan.AlgoDesc {
-		return j.nextDesc()
-	}
-	return j.nextAnc()
-}
-
-// NextBatch implements BatchOperator: the same Stack-Tree drivers, consuming
-// the inputs through block readers and producing whole batches, with
-// skip-ahead over dead regions of the right input.
+// NextBatch implements Operator: the Stack-Tree loops consume the inputs
+// through block readers and produce whole batches, with skip-ahead over
+// dead regions of the right input.
 func (j *StackTreeJoin) NextBatch(b *Batch) error {
 	b.Reset()
 	if !j.started {
@@ -158,20 +138,9 @@ func (j *StackTreeJoin) NextBatch(b *Batch) error {
 		}
 	}
 	if j.algo == plan.AlgoDesc {
-		return j.nextBatchDesc(b)
+		return j.nextDesc(b)
 	}
-	return j.nextBatchAnc(b)
-}
-
-// joined builds the output tuple for (entry, right): one exact-size
-// allocation and two copies — this runs once per output tuple, so it is the
-// hottest allocation site in the tuple-at-a-time executor (the batched path
-// appends pairs into the output batch or an arena instead).
-func (j *StackTreeJoin) joined(e *stackEntry, r Tuple) Tuple {
-	out := make(Tuple, len(e.tuple)+len(r))
-	n := copy(out, e.tuple)
-	copy(out[n:], r)
-	return out
+	return j.nextAnc(b)
 }
 
 // matches reports whether a stack entry satisfies the edge's axis with the
@@ -181,26 +150,9 @@ func (j *StackTreeJoin) matches(e *stackEntry, dLevel uint16) bool {
 }
 
 // push moves the current left tuple onto the stack (after expiring dead
-// entries) and advances the left input.
+// entries) and advances the left input. The left tuple aliases the left
+// reader's reusable batch, so the stack entry gets an arena copy.
 func (j *StackTreeJoin) push(expireBefore xmltree.Pos, collect func(*stackEntry)) error {
-	j.expire(expireBefore, collect)
-	a := j.lTuple[j.lCol]
-	j.stack = append(j.stack, &stackEntry{
-		t:     a,
-		end:   j.doc.End(a),
-		level: j.doc.Level(a),
-		tuple: j.lTuple,
-	})
-	j.ctx.Stats.StackOps++
-	var err error
-	j.lTuple, j.lOK, err = j.left.Next()
-	return err
-}
-
-// pushBatch is push for the batched drivers: the left tuple aliases the left
-// reader's reusable batch, so the stack entry gets an arena copy, and the
-// input advances through the reader.
-func (j *StackTreeJoin) pushBatch(expireBefore xmltree.Pos, collect func(*stackEntry)) error {
 	j.expire(expireBefore, collect)
 	a := j.lTuple[j.lCol]
 	j.stack = append(j.stack, &stackEntry{
@@ -231,46 +183,6 @@ func (j *StackTreeJoin) expire(pos xmltree.Pos, collect func(*stackEntry)) {
 	}
 }
 
-// nextDesc is the Stack-Tree-Desc driver.
-func (j *StackTreeJoin) nextDesc() (Tuple, bool, error) {
-	for {
-		// Drain pending emissions for the current right tuple first.
-		for j.emitIdx < len(j.emit) {
-			e := j.emit[j.emitIdx]
-			j.emitIdx++
-			if j.matches(e, j.doc.Level(j.emitR[j.rCol])) {
-				return j.joined(e, j.emitR), true, nil
-			}
-		}
-		// Keep emit's backing array: the next stack snapshot reuses it
-		// instead of allocating per right tuple.
-		j.emit, j.emitR = j.emit[:0], nil
-
-		if !j.rOK {
-			return nil, false, nil // no right input left: join is done
-		}
-		dStart := j.doc.Start(j.rTuple[j.rCol])
-		if j.lOK && j.doc.Start(j.lTuple[j.lCol]) < dStart {
-			if err := j.push(j.doc.Start(j.lTuple[j.lCol]), nil); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		// Process the right tuple against the stack.
-		j.expire(dStart, nil)
-		if len(j.stack) > 0 {
-			j.emit = append(j.emit[:0], j.stack...)
-			j.emitIdx = 0
-			j.emitR = j.rTuple
-		}
-		var err error
-		j.rTuple, j.rOK, err = j.right.Next()
-		if err != nil {
-			return nil, false, err
-		}
-	}
-}
-
 // skipRight reports whether the right input can be seeked past a dead
 // region, and does so: with an empty stack, every right tuple starting
 // before the next ancestor's Start matches nothing (an ancestor always
@@ -295,8 +207,8 @@ func (j *StackTreeJoin) skipRight(dStart xmltree.Pos) (bool, error) {
 	return true, err
 }
 
-// nextBatchDesc is the Stack-Tree-Desc driver over batches.
-func (j *StackTreeJoin) nextBatchDesc(b *Batch) error {
+// nextDesc runs the Stack-Tree-Desc join.
+func (j *StackTreeJoin) nextDesc(b *Batch) error {
 	doc := j.doc
 	for {
 		// Drain pending emissions for the current right tuple first.
@@ -313,7 +225,7 @@ func (j *StackTreeJoin) nextBatchDesc(b *Batch) error {
 				}
 			}
 		}
-		j.emit, j.emitR = j.emit[:0], nil
+		j.emit = j.emit[:0]
 
 		if !j.rOK {
 			return nil // no right input left: join is done
@@ -323,7 +235,7 @@ func (j *StackTreeJoin) nextBatchDesc(b *Batch) error {
 		}
 		dStart := doc.Start(j.rTuple[j.rCol])
 		if j.lOK && doc.Start(j.lTuple[j.lCol]) < dStart {
-			if err := j.pushBatch(doc.Start(j.lTuple[j.lCol]), nil); err != nil {
+			if err := j.push(doc.Start(j.lTuple[j.lCol]), nil); err != nil {
 				return err
 			}
 			continue
@@ -333,15 +245,12 @@ func (j *StackTreeJoin) nextBatchDesc(b *Batch) error {
 		} else if skipped {
 			continue
 		}
-		// Process the right tuple against the stack. The emission snapshot
-		// must survive advancing the right reader (which may refill its
-		// batch), so the right tuple is copied into the join-owned buffer.
+		// Process the right tuple against the stack.
 		j.expire(dStart, nil)
 		if len(j.stack) > 0 {
-			j.emitRBuf = append(j.emitRBuf[:0], j.rTuple...)
+			j.emitR = append(j.emitR[:0], j.rTuple...)
 			j.emit = append(j.emit[:0], j.stack...)
 			j.emitIdx = 0
-			j.emitR = j.emitRBuf
 		}
 		var err error
 		j.rTuple, j.rOK, err = j.rr.next()
@@ -365,51 +274,8 @@ func (j *StackTreeJoin) popReady() Tuple {
 	return t
 }
 
-// nextAnc is the Stack-Tree-Anc driver.
-func (j *StackTreeJoin) nextAnc() (Tuple, bool, error) {
-	for {
-		if j.readyHead < len(j.ready) {
-			return j.popReady(), true, nil
-		}
-		if !j.rOK {
-			// No more pairs can form; release everything still on the
-			// stack, bottom-most last (it owns the earliest output).
-			if len(j.stack) > 0 {
-				for len(j.stack) > 0 {
-					top := j.stack[len(j.stack)-1]
-					j.stack = j.stack[:len(j.stack)-1]
-					j.ctx.Stats.StackOps++
-					j.release(top)
-				}
-				continue
-			}
-			return nil, false, nil
-		}
-		dStart := j.doc.Start(j.rTuple[j.rCol])
-		if j.lOK && j.doc.Start(j.lTuple[j.lCol]) < dStart {
-			if err := j.push(j.doc.Start(j.lTuple[j.lCol]), j.release); err != nil {
-				return nil, false, err
-			}
-			continue
-		}
-		j.expire(dStart, j.release)
-		dLevel := j.doc.Level(j.rTuple[j.rCol])
-		for _, e := range j.stack {
-			if j.matches(e, dLevel) {
-				e.selfList = append(e.selfList, j.joined(e, j.rTuple))
-				j.ctx.Stats.BufferedPairs++
-			}
-		}
-		var err error
-		j.rTuple, j.rOK, err = j.right.Next()
-		if err != nil {
-			return nil, false, err
-		}
-	}
-}
-
-// nextBatchAnc is the Stack-Tree-Anc driver over batches.
-func (j *StackTreeJoin) nextBatchAnc(b *Batch) error {
+// nextAnc runs the Stack-Tree-Anc join.
+func (j *StackTreeJoin) nextAnc(b *Batch) error {
 	doc := j.doc
 	for {
 		if j.readyHead < len(j.ready) {
@@ -438,7 +304,7 @@ func (j *StackTreeJoin) nextBatchAnc(b *Batch) error {
 		}
 		dStart := doc.Start(j.rTuple[j.rCol])
 		if j.lOK && doc.Start(j.lTuple[j.lCol]) < dStart {
-			if err := j.pushBatch(doc.Start(j.lTuple[j.lCol]), j.release); err != nil {
+			if err := j.push(doc.Start(j.lTuple[j.lCol]), j.release); err != nil {
 				return err
 			}
 			continue

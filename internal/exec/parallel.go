@@ -48,9 +48,6 @@ type ParallelExec struct {
 	// TraceBuilder so every clone accumulates into one shared
 	// plan-shaped trace.
 	BuildOp func() (Operator, error)
-	// Batch selects the batched execution path for every partition (and
-	// for the degenerate single-partition fallback).
-	Batch bool
 }
 
 // build compiles one operator tree for a partition, honouring BuildOp.
@@ -115,14 +112,8 @@ func (pe *ParallelExec) RunCount(ctx context.Context, base *Context, pat *patter
 		return pe.countSerial(base, pat, p)
 	}
 	counts := make([]int, len(parts))
-	err := pe.forEachPartition(ctx, base, pat, p, parts, func(cctx context.Context, i int, local *Context, root Operator) error {
-		var n int
-		var err error
-		if pe.Batch {
-			n, err = drainCountBatched(cctx, local, root)
-		} else {
-			n, err = drainCount(cctx, local, root)
-		}
+	err := pe.forEachPartition(ctx, base, pat, p, parts, func(i int, local *Context, root Operator) error {
+		n, err := Count(local, root)
 		counts[i] = n
 		return err
 	})
@@ -156,20 +147,14 @@ func (pe *ParallelExec) run(ctx context.Context, base *Context, pat *pattern.Pat
 	outs := make([][]Tuple, len(parts))
 	done := make([]bool, len(parts))
 	var mu sync.Mutex // guards done and the prefix check
-	err := pe.forEachPartition(ctx, base, pat, p, parts, func(cctx context.Context, i int, local *Context, root Operator) error {
+	err := pe.forEachPartition(ctx, base, pat, p, parts, func(i int, local *Context, root Operator) error {
 		var rootOp Operator = root
 		if limit >= 0 {
 			// Each partition needs at most `limit` tuples: the final
 			// answer is an order-prefix of the concatenation.
 			rootOp = NewLimit(root, limit)
 		}
-		var out []Tuple
-		var err error
-		if pe.Batch {
-			out, err = drainTuplesBatched(cctx, local, rootOp)
-		} else {
-			out, err = drainTuples(cctx, local, rootOp)
-		}
+		out, err := Drain(local, rootOp)
 		if err != nil {
 			return err
 		}
@@ -240,11 +225,7 @@ func (pe *ParallelExec) runSerial(base *Context, pat *pattern.Pattern, p *plan.N
 	if limit >= 0 {
 		root = NewLimit(op, limit)
 	}
-	if pe.Batch {
-		out, err = DrainBatched(base, root)
-	} else {
-		out, err = Drain(base, root)
-	}
+	out, err = Drain(base, root)
 	if err != nil {
 		return nil, err
 	}
@@ -262,9 +243,6 @@ func (pe *ParallelExec) countSerial(base *Context, pat *pattern.Pattern, p *plan
 	if err != nil {
 		return 0, err
 	}
-	if pe.Batch {
-		return CountBatched(base, op)
-	}
 	return Count(base, op)
 }
 
@@ -278,15 +256,17 @@ func finishRun(base *Context, result []Tuple) []Tuple {
 // forEachPartition runs body for every partition on a bounded worker pool.
 // Each invocation gets a fresh clone of the plan's operator tree and a
 // partition-local Context whose Stats are merged into base as partitions
-// finish. The first real error cancels the remaining work and is returned;
-// errLimitSatisfied cancels the pool but reports success.
+// finish. The local Context's Interrupt is the pool context's Err, so a
+// cancelled query stops each worker within one batch. The first real error
+// cancels the remaining work and is returned; errLimitSatisfied cancels the
+// pool but reports success.
 func (pe *ParallelExec) forEachPartition(
 	ctx context.Context,
 	base *Context,
 	pat *pattern.Pattern,
 	p *plan.Node,
 	parts []storage.Range,
-	body func(cctx context.Context, i int, local *Context, root Operator) error,
+	body func(i int, local *Context, root Operator) error,
 ) error {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -318,7 +298,7 @@ func (pe *ParallelExec) forEachPartition(
 					Ctx:       cctx,
 					Interrupt: cctx.Err,
 				}
-				err := pe.runPartition(pat, p, cctx, i, local, body)
+				err := pe.runPartition(pat, p, i, local, body)
 				mu.Lock()
 				base.Stats.Add(local.Stats)
 				switch {
@@ -348,10 +328,9 @@ func (pe *ParallelExec) forEachPartition(
 func (pe *ParallelExec) runPartition(
 	pat *pattern.Pattern,
 	p *plan.Node,
-	cctx context.Context,
 	i int,
 	local *Context,
-	body func(cctx context.Context, i int, local *Context, root Operator) error,
+	body func(i int, local *Context, root Operator) error,
 ) (err error) {
 	defer func() {
 		if perr := RecoverPanic(recover()); perr != nil {
@@ -362,132 +341,5 @@ func (pe *ParallelExec) runPartition(
 	if err != nil {
 		return err
 	}
-	return body(cctx, i, local, root)
-}
-
-// drainTuples runs root to completion on local, polling cctx between
-// batches of output tuples so cancelled queries stop promptly.
-func drainTuples(cctx context.Context, local *Context, root Operator) ([]Tuple, error) {
-	if err := root.Open(local); err != nil {
-		return nil, err
-	}
-	var out []Tuple
-	for {
-		if len(out)&63 == 0 {
-			if err := cctx.Err(); err != nil {
-				root.Close()
-				return nil, err
-			}
-		}
-		t, ok, err := root.Next()
-		if err != nil {
-			root.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, t)
-	}
-	if err := root.Close(); err != nil {
-		return nil, err
-	}
-	local.Stats.OutputTuples = len(out)
-	return out, nil
-}
-
-// drainTuplesBatched is drainTuples over the batched path, polling cctx
-// once per batch; retained rows are copied out of the reusable batch.
-func drainTuplesBatched(cctx context.Context, local *Context, root Operator) ([]Tuple, error) {
-	bop := AsBatchOperator(root)
-	if err := root.Open(local); err != nil {
-		return nil, err
-	}
-	var (
-		out   []Tuple
-		arena nodeArena
-		b     = NewBatch(root.Schema().Width())
-	)
-	for {
-		if err := cctx.Err(); err != nil {
-			root.Close()
-			return nil, err
-		}
-		if err := bop.NextBatch(b); err != nil {
-			root.Close()
-			return nil, err
-		}
-		if b.Len() == 0 {
-			break
-		}
-		local.Stats.Batches++
-		for i := 0; i < b.Len(); i++ {
-			out = append(out, arena.copyTuple(b.Row(i)))
-		}
-	}
-	if err := root.Close(); err != nil {
-		return nil, err
-	}
-	local.Stats.OutputTuples = len(out)
-	return out, nil
-}
-
-// drainCountBatched is drainCount over the batched path.
-func drainCountBatched(cctx context.Context, local *Context, root Operator) (int, error) {
-	bop := AsBatchOperator(root)
-	if err := root.Open(local); err != nil {
-		return 0, err
-	}
-	n := 0
-	b := NewBatch(root.Schema().Width())
-	for {
-		if err := cctx.Err(); err != nil {
-			root.Close()
-			return 0, err
-		}
-		if err := bop.NextBatch(b); err != nil {
-			root.Close()
-			return 0, err
-		}
-		if b.Len() == 0 {
-			break
-		}
-		local.Stats.Batches++
-		n += b.Len()
-	}
-	if err := root.Close(); err != nil {
-		return 0, err
-	}
-	local.Stats.OutputTuples = n
-	return n, nil
-}
-
-// drainCount is drainTuples without materialisation.
-func drainCount(cctx context.Context, local *Context, root Operator) (int, error) {
-	if err := root.Open(local); err != nil {
-		return 0, err
-	}
-	n := 0
-	for {
-		if n&63 == 0 {
-			if err := cctx.Err(); err != nil {
-				root.Close()
-				return 0, err
-			}
-		}
-		_, ok, err := root.Next()
-		if err != nil {
-			root.Close()
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		n++
-	}
-	if err := root.Close(); err != nil {
-		return 0, err
-	}
-	local.Stats.OutputTuples = n
-	return n, nil
+	return body(i, local, root)
 }

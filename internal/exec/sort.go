@@ -17,7 +17,7 @@ type Sort struct {
 	buf    []Tuple
 	pos    int
 	loaded bool
-	err    error // latched load failure: every later Next returns it
+	err    error // latched load failure: every later NextBatch returns it
 	ctx    *Context
 }
 
@@ -39,39 +39,18 @@ func (s *Sort) Open(ctx *Context) error {
 	return s.input.Open(ctx)
 }
 
-// Next implements Operator.
-func (s *Sort) Next() (Tuple, bool, error) {
-	if s.err != nil {
-		return nil, false, s.err
-	}
-	if !s.loaded {
-		if err := s.load(); err != nil {
-			// Latch the failure: a partially-loaded buffer is not valid
-			// output, so every subsequent Next must keep failing instead
-			// of serving the unsorted remnant.
-			s.err = err
-			s.buf = nil
-			return nil, false, err
-		}
-	}
-	if s.pos >= len(s.buf) {
-		return nil, false, nil
-	}
-	t := s.buf[s.pos]
-	s.pos++
-	return t, true, nil
-}
-
-// NextBatch implements BatchOperator: the input is materialised through its
-// own batched path (one virtual call per input batch), and the sorted
-// buffer is then served in batch-sized runs.
+// NextBatch implements Operator: the input is materialised one batch at a
+// time, and the sorted buffer is then served in batch-sized runs.
 func (s *Sort) NextBatch(b *Batch) error {
 	b.Reset()
 	if s.err != nil {
 		return s.err
 	}
 	if !s.loaded {
-		if err := s.loadBatched(); err != nil {
+		if err := s.load(); err != nil {
+			// Latch the failure: a partially-loaded buffer is not valid
+			// output, so every later NextBatch must keep failing instead
+			// of serving the unsorted remnant.
 			s.err = err
 			s.buf = nil
 			return err
@@ -84,31 +63,14 @@ func (s *Sort) NextBatch(b *Batch) error {
 	return nil
 }
 
+// load materialises the whole input; batch rows are ephemeral, so retained
+// tuples are copied into an arena.
 func (s *Sort) load() error {
 	s.loaded = true
-	for {
-		t, ok, err := s.input.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		s.buf = append(s.buf, t)
-	}
-	s.sortBuf()
-	return nil
-}
-
-// loadBatched is load over the input's batched path; batch rows are
-// ephemeral, so retained tuples are copied into an arena.
-func (s *Sort) loadBatched() error {
-	s.loaded = true
-	bop := AsBatchOperator(s.input)
 	in := NewBatch(s.schema.Width())
 	var arena nodeArena
 	for {
-		if err := bop.NextBatch(in); err != nil {
+		if err := s.input.NextBatch(in); err != nil {
 			return err
 		}
 		if in.Len() == 0 {

@@ -102,9 +102,8 @@ type Snapshot struct {
 	SlowQueries uint64
 	// InFlight is the number of executions currently running.
 	InFlight int64
-	// Batches counts NextBatch calls driven through plan roots; Skipped
-	// counts index postings bypassed by skip-ahead seeks. Both stay 0
-	// while every query runs tuple-at-a-time.
+	// Batches counts non-empty NextBatch results driven through plan
+	// roots; Skipped counts index postings bypassed by skip-ahead seeks.
 	Batches, Skipped uint64
 	// RecoveredPanics counts panics recovered at query boundaries (each one
 	// is a bug that became a typed error instead of a crash).

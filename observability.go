@@ -12,7 +12,7 @@ import (
 )
 
 // OpTrace is a plan-shaped per-operator execution trace: wall time per
-// iterator phase, Next calls, and actual vs estimated output rows for
+// iterator phase, NextBatch calls, and actual vs estimated output rows for
 // every operator of the executed plan. Produced by Run/QueryContext when
 // tracing is enabled (RunOptions.Trace / QueryOptions.Trace, or a
 // configured slow-query log).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -238,17 +239,51 @@ func TestSlowQueryRingBounded(t *testing.T) {
 }
 
 // TestExplainAnalyzeOutput: EXPLAIN ANALYZE prints the operator tree with
-// estimated vs actual rows, drift, call counts and wall time.
+// estimated vs actual rows, drift, batch counts and wall time.
 func TestExplainAnalyzeOutput(t *testing.T) {
 	db := openDB(t)
 	out, err := db.ExplainAnalyze(MustParsePattern("//manager//employee/name"), MethodDPP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"est≈", "actual=", "err=", "calls=", "time=", "IndexScan"} {
+	for _, want := range []string{"est≈", "actual=", "err=", "batches=", "time=", "IndexScan"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ExplainAnalyze missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestExplainAnalyzeCountsPullsPerOperator: every operator line of EXPLAIN
+// ANALYZE that produced rows reports how often it was pulled, and every
+// pull count it prints is non-zero — a row-producing operator cannot have
+// been pulled zero times.
+func TestExplainAnalyzeCountsPullsPerOperator(t *testing.T) {
+	db := openDB(t)
+	out, err := db.ExplainAnalyze(MustParsePattern("//manager//employee/name"), MethodDPP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	actual := regexp.MustCompile(`\[est≈\S+ actual=(\d+) `)
+	pulls := regexp.MustCompile(`\b(calls|batches)=(\d+)`)
+	operators := 0
+	for _, line := range strings.Split(out, "\n") {
+		m := actual.FindStringSubmatch(line)
+		if m == nil || m[1] == "0" {
+			continue
+		}
+		operators++
+		counts := pulls.FindAllStringSubmatch(line, -1)
+		if len(counts) == 0 {
+			t.Errorf("operator line reports no pull count: %s", line)
+		}
+		for _, c := range counts {
+			if c[2] == "0" {
+				t.Errorf("operator with %s rows reports %s=0: %s", m[1], c[1], line)
+			}
+		}
+	}
+	if operators < 5 {
+		t.Fatalf("found %d row-producing operator lines, want 5:\n%s", operators, out)
 	}
 }
 

@@ -254,12 +254,11 @@ func optimizeWith(ctx context.Context, pat *Pattern, stats core.StatsSource, mod
 
 // ExecOptions is the execution-tuning surface shared by every query entry
 // point — Database and Corpus take identical option shapes: RunOptions and
-// QueryOptions both embed it. Plan-execution entry points (Run) read Limit,
-// Trace and NoBatch and ignore the optimizer fields (Method, Te, NoCache,
+// QueryOptions both embed it. Plan-execution entry points (Run) read Limit
+// and Trace and ignore the optimizer fields (Method, Te, NoCache,
 // NoValueIndex), which only apply where a plan is being chosen
 // (QueryContext and friends). The zero value optimizes with DP, executes
-// without a limit, uses the plan cache, the batched executor and the value
-// index.
+// without a limit and uses the plan cache and the value index.
 type ExecOptions struct {
 	// Method selects the optimization algorithm (zero value: MethodDP).
 	// Ignored by Run, which executes an already-chosen plan.
@@ -270,23 +269,17 @@ type ExecOptions struct {
 	// Limit > 0 stops execution after that many matches — the online
 	// querying mode motivating the FP algorithm (§3.4). 0 means all.
 	Limit int
-	// Trace enables per-operator instrumentation: wall time, Next calls
-	// and output rows per plan operator, reported in the result. It costs
-	// two clock reads per operator per tuple; leave it off on hot paths
-	// (disabled tracing adds no per-operator work). On the batched path
-	// (the default) the instrumentation is per batch, so tracing there is
-	// near-free.
+	// Trace enables per-operator instrumentation: wall time, NextBatch
+	// calls and output rows per plan operator, reported in the result. It
+	// costs two clock reads per operator per batch, so it is near-free;
+	// disabled tracing adds no per-operator work.
 	Trace bool
 	// NoCache bypasses the plan cache (no lookup, no insertion) — used by
 	// benchmarks that must measure a cold optimizer run. Ignored by Run.
 	NoCache bool
-	// NoBatch disables the batched (vectorized) execution path and runs
-	// the plan tuple-at-a-time. Batched execution produces identical
-	// results; this is an escape hatch for debugging and A/B measurement.
-	NoBatch bool
 	// NoValueIndex keeps the optimizer from choosing value-index probes:
 	// every predicated leaf scans its tag and filters. Escape hatch for
-	// debugging and A/B measurement, mirroring NoBatch. Ignored by Run.
+	// debugging and A/B measurement. Ignored by Run.
 	NoValueIndex bool
 	// AdaptiveDrift tunes the adaptive plan feedback loop. After a traced
 	// query served by a cached plan, the worst per-operator est-vs-actual
@@ -305,8 +298,8 @@ type ExecOptions struct {
 
 // RunOptions tunes one Run call. The zero value executes the whole plan
 // with the handle's configured parallelism and returns all matches. Of the
-// embedded ExecOptions, Run reads Limit, Trace and NoBatch; the optimizer
-// fields are ignored (the plan is already chosen).
+// embedded ExecOptions, Run reads Limit and Trace; the optimizer fields are
+// ignored (the plan is already chosen).
 type RunOptions struct {
 	ExecOptions
 	// Workers selects the execution mode: 0 uses the handle's configured
@@ -441,7 +434,7 @@ func (db *Database) runOn(ctx context.Context, sn *dbSnap, pat *Pattern, p *Plan
 	ectx := &exec.Context{Ctx: ctx, Doc: sn.doc, Store: sn.store}
 	res := &RunResult{}
 	if workers > 0 {
-		pe := &exec.ParallelExec{Workers: workers, Batch: !opts.NoBatch}
+		pe := &exec.ParallelExec{Workers: workers}
 		if tb != nil {
 			pe.BuildOp = tb.Build
 		}
@@ -481,18 +474,9 @@ func (db *Database) runOn(ctx context.Context, sn *dbSnap, pat *Pattern, p *Plan
 	if err != nil {
 		return nil, err
 	}
-	// The driver picks the execution mode at the root: DrainBatched/
-	// CountBatched pull NextBatch through the whole tree, Drain/Count pull
-	// tuples. The operator tree itself is mode-agnostic.
-	drain := exec.Drain
-	count := exec.Count
-	if !opts.NoBatch {
-		drain = exec.DrainBatched
-		count = exec.CountBatched
-	}
 	switch {
 	case opts.Limit > 0:
-		out, err := drain(ectx, exec.NewLimit(op, opts.Limit))
+		out, err := exec.Drain(ectx, exec.NewLimit(op, opts.Limit))
 		if err != nil {
 			return nil, err
 		}
@@ -502,13 +486,13 @@ func (db *Database) runOn(ctx context.Context, sn *dbSnap, pat *Pattern, p *Plan
 			res.Matches = out
 		}
 	case opts.CountOnly:
-		n, err := count(ectx, op)
+		n, err := exec.Count(ectx, op)
 		if err != nil {
 			return nil, err
 		}
 		res.Count = n
 	default:
-		out, err := drain(ectx, op)
+		out, err := exec.Drain(ectx, op)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -499,14 +500,38 @@ func (db *Database) Drain(ctx context.Context) error { return db.svc.admit.Drain
 
 // TwigStack evaluates pat with the holistic twig join (the multi-way
 // alternative of Bruno et al. that the paper cites as future work), for
-// comparison against the structural-join plans.
+// comparison against the structural-join plans. Deleted members stay in a
+// writable database's forest until compaction, so matches touching them are
+// dropped: like every query, TwigStack answers over live members only.
 func (db *Database) TwigStack(pat *Pattern) ([]Match, error) {
-	ms, _, err := twigjoin.Run(db.view().doc, pat)
-	out := make([]Match, len(ms))
-	for i, m := range ms {
-		out[i] = Match(m)
+	sn := db.view()
+	ms, _, err := twigjoin.Run(sn.doc, pat)
+	out := make([]Match, 0, len(ms))
+	for _, m := range ms {
+		if sn.live(m) {
+			out = append(out, Match(m))
+		}
 	}
 	return out, err
+}
+
+// live reports whether every node lies in a live member or is the forest's
+// synthetic root (node 0). A static database has no member table, so all
+// of its nodes are live.
+func (sn *dbSnap) live(ids []NodeID) bool {
+	if sn.members == nil {
+		return true
+	}
+	for _, id := range ids {
+		if id == 0 {
+			continue
+		}
+		i := sort.Search(len(sn.members), func(i int) bool { return sn.members[i].span.First > id }) - 1
+		if i < 0 || !sn.members[i].span.Contains(id) {
+			return false
+		}
+	}
+	return true
 }
 
 // QueryResult is the outcome of a one-shot Query call.

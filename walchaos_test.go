@@ -14,7 +14,8 @@ import (
 // turn, then recovered from the surviving bytes. The invariant under test
 // is the write path's atomicity: whatever the kill point, the recovered
 // database equals a state of the committed history — never a torn blend —
-// and every optimization method agrees on it in both execution modes.
+// and every optimization method agrees on it with the TwigStack oracle in
+// every oracle lane.
 
 // chaosScript is the mutation history; chaosStates[i] is the expected state
 // after the first i mutations (distinct match counts, so a count identifies
@@ -72,25 +73,26 @@ func chaosStateOf(count int) int {
 	return -1
 }
 
-// verifyChaosState checks the database is exactly chaosStates[want] under
-// all five paper methods, each in batched and tuple-at-a-time execution.
+// verifyChaosState checks the database is exactly chaosStates[want]: the
+// recovered members, the TwigStack oracle's match count, and the plans of
+// all five paper methods in every oracle lane against that oracle.
 func verifyChaosState(t *testing.T, db *Database, want int, label string) {
 	t.Helper()
 	if got := fmt.Sprint(db.MemberIDs()); got != chaosStates[want].ids {
 		t.Fatalf("%s: members %s, want %s", label, got, chaosStates[want].ids)
 	}
+	pat := MustParsePattern("//order//item/name")
+	oracle := twigStackMatches(t, db, pat)
+	if len(oracle) != chaosStates[want].count {
+		t.Fatalf("%s: TwigStack finds %d matches, want %d", label, len(oracle), chaosStates[want].count)
+	}
 	for _, m := range []Method{MethodDP, MethodDPP, MethodDPAPEB, MethodDPAPLD, MethodFP} {
-		for _, noBatch := range []bool{false, true} {
-			res, err := db.QueryContext(context.Background(), "//order//item/name",
-				QueryOptions{ExecOptions: ExecOptions{Method: m, NoBatch: noBatch}})
-			if err != nil {
-				t.Fatalf("%s: %v noBatch=%v: %v", label, m, noBatch, err)
-			}
-			if len(res.Matches) != chaosStates[want].count {
-				t.Fatalf("%s: %v noBatch=%v: %d matches, want %d",
-					label, m, noBatch, len(res.Matches), chaosStates[want].count)
-			}
+		res, err := db.QueryContext(context.Background(), pat.String(),
+			QueryOptions{ExecOptions: ExecOptions{Method: m}})
+		if err != nil {
+			t.Fatalf("%s: %v: %v", label, m, err)
 		}
+		checkOracleLanes(t, db, pat, res.Plan, oracle, fmt.Sprintf("%s: %v", label, m))
 	}
 }
 
